@@ -43,3 +43,7 @@ class ProtocolError(LitFieldError):
 
 class SceneError(LitFieldError):
     pass
+
+
+class PointCapacityError(LitFieldError):
+    """Raised when a projection would index more points than its keys hold."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometryError, NoOverlapError
+from .errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
 from .geometry import ColorImage, DepthImage, Intrinsics, Pose, camera_ray
 
 log = logging.getLogger(__name__)
@@ -62,6 +62,10 @@ class _ViewSlot:
     view_id: int
     sequence: int
     cloud: PointCloud
+    # per scattered level, the hit pixels of the flat key map of the points
+    # of cloud inside the boundary, indexed by their position in cloud, and
+    # their keys; None until projected
+    keys: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 class DensePointCloudBuffer:
@@ -71,7 +75,8 @@ class DensePointCloudBuffer:
     Re-inserting an existing view_id overwrites its slot in place
     (spatial consistency); a new view_id fills a free slot or evicts the
     slot with the smallest insertion sequence number (temporal
-    consistency).
+    consistency). Each slot caches the projection of its cloud, so
+    `project` projects a view only when its cloud changes.
     """
 
     def __init__(self, num_views: int, slot_capacity: int = 0):
@@ -81,6 +86,7 @@ class DensePointCloudBuffer:
         self.slot_capacity = slot_capacity
         self._slots: list[_ViewSlot] = []
         self._next_seq = 0
+        self._projection: tuple | None = None  # what the cached keys project
 
     def insert_view(self, view_id: int, cloud: PointCloud) -> None:
         if len(cloud) == 0:
@@ -89,13 +95,68 @@ class DensePointCloudBuffer:
         self._next_seq += 1
         for slot in self._slots:
             if slot.view_id == view_id:
-                slot.cloud = cloud
-                slot.sequence = seq
+                slot.cloud, slot.sequence, slot.keys = cloud, seq, None
                 return
         if len(self._slots) >= self.num_views:
             oldest = min(self._slots, key=lambda s: s.sequence)
             self._slots.remove(oldest)
         self._slots.append(_ViewSlot(view_id, seq, cloud))
+
+    def replace_view(self, view_id: int, old: PointCloud, new: PointCloud) -> bool:
+        """Put new in place of the cloud old of view view_id, keeping the
+        slot's recency. Returns False, changing nothing, if the view no
+        longer holds old."""
+        for slot in self._slots:
+            if slot.view_id == view_id and slot.cloud is old:
+                slot.cloud, slot.keys = new, None
+                return True
+        return False
+
+    def project(self, rec_pos: np.ndarray, boundary: "NearFieldBoundary",
+                levels: list[tuple[int, int]]) -> list[EnvMapLayer]:
+        """The layers of project_multires(filter_boundary(self.all_points(),
+        boundary), rec_pos, levels), bit for bit, projecting only the views
+        whose cloud changed since the last call.
+
+        A view's key maps hold each point's index in its own cloud; the
+        view's offset in the concatenation is added at merge time. The
+        boundary keeps point order, so (slot order, index in view) orders
+        keys as the index into the filtered concatenation does, and exact
+        ties resolve the same way.
+        """
+        ratios = _level_ratios(levels)
+        if not self._slots:
+            return [EnvMapLayer.empty(w, h) for w, h in levels]
+        scattered = _scattered(levels, ratios)
+        rec = np.asarray(rec_pos, dtype=np.float32).reshape(3)
+        projection = (rec.tobytes(), boundary.center.tobytes(), boundary.side,
+                      tuple(scattered))
+        if projection != self._projection:
+            for slot in self._slots:
+                slot.keys = None
+            self._projection = projection
+        merged = [np.full(w * h, _NO_POINT) for w, h in scattered]
+        sources = []
+        offset = 0
+        for slot in self._slots:
+            positions = slot.cloud.positions
+            if offset + len(positions) > _MAX_POINTS:
+                raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} points")
+            if slot.keys is None:
+                inside = _inside(positions, boundary)
+                index = None
+                if not inside.all():
+                    index = np.flatnonzero(inside).astype(np.uint32)
+                    positions = positions[index]
+                maps = _project_keys(positions, rec, scattered, index)[0]
+                # a view hits a fraction of the map: keep only those pixels
+                hits = [np.flatnonzero(m < _NO_POINT).astype(np.uint32) for m in maps]
+                slot.keys = [(pixels, m[pixels]) for pixels, m in zip(hits, maps)]
+            for acc, (pixels, keys) in zip(merged, slot.keys):
+                acc[pixels] = np.minimum(acc[pixels], keys + np.uint64(offset))
+            sources.append((offset, slot.cloud.colors))
+            offset += len(slot.cloud)
+        return _layers(merged, levels, ratios, sources)
 
     def view_ids(self) -> list[int]:
         return [s.view_id for s in self._slots]
@@ -166,13 +227,26 @@ def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
     return PointCloud(positions, color.pixels[keep])
 
 
-def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
-    """Keep points inside the cube (Chebyshev distance <= side/2, inclusive)."""
-    if len(cloud) == 0:
-        return cloud
+def _inside(positions: np.ndarray, b: NearFieldBoundary) -> np.ndarray:
+    """Per point, whether it lies inside the cube (Chebyshev distance <=
+    side/2, inclusive)."""
     half = b.side / 2.0
-    inside = np.max(np.abs(cloud.positions - b.center), axis=1) <= half
-    return cloud.select(inside)
+    # One float64 coordinate at a time: the same arithmetic as the max of
+    # |positions - center| over the axes, without (n, 3) temporaries.
+    d = np.empty(len(positions))
+    inside = np.ones(len(positions), dtype=bool)
+    for axis in range(3):
+        np.subtract(positions[:, axis], b.center[axis], out=d, dtype=np.float64)
+        np.abs(d, out=d)
+        inside &= d <= half
+    return inside
+
+
+def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
+    """Keep points inside the cube (Chebyshev distance <= side/2, inclusive).
+    Returns cloud itself when every point is inside."""
+    inside = _inside(cloud.positions, b)
+    return cloud if inside.all() else cloud.select(inside)
 
 
 # Reusable scratch buffers for the projection hot path. Fresh multi-MB
@@ -183,8 +257,14 @@ def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
 _scratch = threading.local()
 _index_u32 = np.empty(0, dtype=np.uint32)
 
-# Key-map value of a pixel no point landed on; above every point's key.
-_NO_POINT = np.uint64(0xFFFFFFFFFFFFFFFF)
+# Key-map value of a pixel no point landed on. Its upper half is above
+# the bits of every distance, so it is above every point's key, and so is
+# any value it reaches when a view's index offset is added to its lower
+# half: a key is a hit exactly when it is below _NO_POINT.
+_NO_POINT = np.uint64(0xFFFFFFFF00000000)
+# A key's lower half holds a point index, so one projection takes at most
+# this many points.
+_MAX_POINTS = 1 << 32
 
 # Projections and merges of large inputs are split into up to one part
 # per core, each of at least _MIN_PART items (points or pixels). The
@@ -235,17 +315,17 @@ def _point_indices(start: int, stop: int) -> np.ndarray:
     return idx[start:stop]
 
 
-def _scatter_keys(positions: np.ndarray, start: int, stop: int,
-                  rec_pos: np.ndarray, levels: list[tuple[int, int]],
+def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
+                  stop: int, rec_pos: np.ndarray, levels: list[tuple[int, int]],
                   maps: list[np.ndarray], bufs: dict) -> int:
     """Scatter-min the keys of points start..stop-1 into one flat key map
     per level, and return how many of them were skipped. Temporaries live
     in the scratch set bufs.
 
-    A key is the point's float32 distance bits above its index in the
-    whole cloud, so one scatter-min resolves both the winning distance
-    and which point produced it, and equal distances break toward the
-    lower index. Distances are non-negative, so the float32 bit pattern
+    A key is the point's float32 distance bits above its index (index[i]
+    for point i, or i itself when index is None), so one scatter-min
+    resolves both the winning distance and which point produced it, and
+    equal distances break toward the lower index. Distances are non-negative, so the float32 bit pattern
     orders like the value. Because indices are global, the element-wise
     minimum of the maps of disjoint parts is the map of their union.
     Points coincident with rec_pos have no direction and are skipped.
@@ -269,7 +349,7 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int,
 
     # Two little-endian uint32 halves avoid widening and shifting passes.
     halves = _buf(bufs, "key", 2 * n, np.uint32).reshape(n, 2)
-    halves[:, 0] = _point_indices(start, stop)
+    halves[:, 0] = _point_indices(start, stop) if index is None else index[start:stop]
     halves[:, 1] = dist.view(np.uint32)
     key = halves.view(np.uint64).reshape(n)
     skipped = 0
@@ -335,11 +415,28 @@ def _block_min(keys: np.ndarray, w: int, h: int, r: int) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _gather(sources: list[tuple[int, np.ndarray]], idx: np.ndarray,
+            out: np.ndarray) -> None:
+    """out[i] = row idx[i] of the concatenation of the color arrays of
+    sources, given as (start row, colors) in row order; rows past the end
+    clip to the last one."""
+    if len(sources) == 1:
+        sources[0][1].take(idx, axis=0, out=out, mode="clip")
+        return
+    which = np.zeros(len(idx), dtype=np.int32)
+    for start, _ in sources[1:]:
+        which += idx >= start
+    for i, (start, colors) in enumerate(sources):
+        sel = np.flatnonzero(which == i)
+        out[sel] = colors.take(idx[sel] - idx.dtype.type(start), axis=0, mode="clip")
+
+
 def _fill_layers(keymaps: list[np.ndarray], layers: list[EnvMapLayer],
-                 colors: np.ndarray, part: int, parts: int) -> None:
+                 sources: list[tuple[int, np.ndarray]], part: int,
+                 parts: int) -> None:
     """Fill part `part` of `parts` of every layer's pixels from the layer's
-    flat key map: a hit pixel takes its winning point's color and
-    distance."""
+    flat key map: a hit pixel takes its winning point's color (gathered
+    from sources, see _gather) and distance."""
     for best, layer in zip(keymaps, layers):
         s, e = len(best) * part // parts, len(best) * (part + 1) // parts
         keys = best[s:e]
@@ -347,14 +444,88 @@ def _fill_layers(keymaps: list[np.ndarray], layers: list[EnvMapLayer],
         distance = layer.distance.reshape(-1)[s:e]
         valid = layer.valid.reshape(-1)[s:e]
         halves = keys.view(np.uint32).reshape(-1, 2)
-        np.not_equal(keys, _NO_POINT, out=valid)
-        colors.take(halves[:, 0], axis=0, out=color, mode="clip")
+        np.less(keys, _NO_POINT, out=valid)
+        _gather(sources, halves[:, 0], color)
         # The winning distance rides in the key's upper half.
         distance[:] = halves[:, 1].view(np.float32)
         if not valid.all():
             miss = ~valid
             color[miss] = 0.0
             distance[miss] = np.inf
+
+
+def _level_ratios(levels: list[tuple[int, int]]) -> list[int]:
+    """Check a level list and return, per level, the r for which its
+    pixels are r x r blocks of the first level's pixels; 0 for a level
+    that does not tile the first so."""
+    if not levels:
+        raise ValueError("levels must be nonempty")
+    for w, h in levels:
+        if w != 2 * h:
+            raise ValueError(f"level {w}x{h} is not 2:1 equirectangular")
+    widths = [w for w, _ in levels]
+    if sorted(widths, reverse=True) != widths or len(set(widths)) != len(widths):
+        raise ValueError("levels must have strictly decreasing resolutions")
+    top_w, top_h = levels[0]
+    return [top_w // w if top_w % w == 0 and top_h % h == 0
+            and top_w // w == top_h // h else 0 for w, h in levels]
+
+
+def _scattered(levels: list[tuple[int, int]], ratios: list[int]) -> list[tuple[int, int]]:
+    """The levels whose key maps are scattered from the points: the first
+    and those that do not tile it."""
+    return [tuple(lv) for lv, r in zip(levels, ratios) if r <= 1]
+
+
+def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
+                  levels: list[tuple[int, int]],
+                  index: np.ndarray | None = None) -> tuple[list[np.ndarray], int]:
+    """The key pass: one flat key map per level (w, h) of the points
+    positions, whose indices are index (uint32, increasing) or else
+    0..n-1, and the number of points skipped for coinciding with rec_pos
+    (float32).
+
+    Large inputs are split in parts on several threads; because keys
+    carry the index, the result does not depend on the split.
+    """
+    n = len(positions)
+    if n > _MAX_POINTS:
+        raise PointCapacityError(f"cannot project {n} points, over {_MAX_POINTS}")
+    parts = _parts(n)
+    maps = [[np.full(w * h, _NO_POINT) for w, h in levels] for _ in range(parts)]
+    if n == 0:
+        return maps[0], 0
+    bounds = [n * i // parts for i in range(parts + 1)]
+    skipped = sum(_run_parts(_scatter_keys, [
+        (positions, index, bounds[i], bounds[i + 1], rec_pos, levels, maps[i], bufs)
+        for i, bufs in enumerate(_part_scratch(parts))]))
+    keymaps = maps[0]
+    for other in maps[1:]:
+        for acc, part in zip(keymaps, other):
+            np.minimum(acc, part, out=acc)
+    return keymaps, skipped
+
+
+def _layers(scattered_maps: list[np.ndarray], levels: list[tuple[int, int]],
+            ratios: list[int], sources: list[tuple[int, np.ndarray]]) -> list[EnvMapLayer]:
+    """The layers of the key maps of the scattered levels (_scattered);
+    colors are gathered from sources (see _gather).
+
+    floor(x / r) == floor(floor(x) / r) for integer r, and the half-width
+    centering offset divides through, so a level whose pixels are r x r
+    blocks of the first level's pixels takes its key map as a block-min
+    of the first one.
+    """
+    top = scattered_maps[0]
+    scattered = iter(scattered_maps)
+    keymaps = [_block_min(top, w, h, r) if r > 1 else next(scattered)
+               for (w, h), r in zip(levels, ratios)]
+    layers = [EnvMapLayer(w, h, np.empty((h, w, 3)), np.empty((h, w)),
+                          np.empty((h, w), dtype=bool)) for w, h in levels]
+    parts = _parts(len(top))
+    _run_parts(_fill_layers, [(keymaps, layers, sources, i, parts)
+                              for i in range(parts)])
+    return layers
 
 
 def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
@@ -369,57 +540,19 @@ def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
     Large clouds are projected in parts on several threads; the result
     does not depend on the split.
     """
-    if not levels:
-        raise ValueError("levels must be nonempty")
-    for w, h in levels:
-        if w != 2 * h:
-            raise ValueError(f"level {w}x{h} is not 2:1 equirectangular")
-    widths = [w for w, _ in levels]
-    if sorted(widths, reverse=True) != widths or len(set(widths)) != len(widths):
-        raise ValueError("levels must have strictly decreasing resolutions")
-
-    n = len(cloud)
-    if n == 0:
+    ratios = _level_ratios(levels)
+    if len(cloud) == 0:
         if stats is not None:
             stats["skipped_zero_distance"] = 0
         return [EnvMapLayer.empty(w, h) for w, h in levels]
-
-    # floor(x / r) == floor(floor(x) / r) for integer r, and the half-width
-    # centering offset divides through, so a coarser level whose pixels
-    # are r x r blocks of the finest level's pixels takes its key map as a
-    # block-min of the finest one. Only the other levels are scattered.
-    top_w, top_h = levels[0]
-    ratios = [top_w // w if top_w % w == 0 and top_h % h == 0
-              and top_w // w == top_h // h else 0 for w, h in levels]
-    scattered = [lv for lv, r in zip(levels, ratios) if r <= 1]
-
     rec_pos = np.asarray(rec_pos, dtype=np.float32).reshape(3)
-    parts = _parts(n)
-    bounds = [n * i // parts for i in range(parts + 1)]
-    maps = [[np.full(w * h, _NO_POINT) for w, h in scattered]
-            for _ in range(parts)]
-    skipped = sum(_run_parts(_scatter_keys, [
-        (cloud.positions, bounds[i], bounds[i + 1], rec_pos, scattered,
-         maps[i], bufs) for i, bufs in enumerate(_part_scratch(parts))]))
-    keymaps = maps[0]
-    for other in maps[1:]:
-        for acc, part in zip(keymaps, other):
-            np.minimum(acc, part, out=acc)
-
+    keymaps, skipped = _project_keys(cloud.positions, rec_pos,
+                                     _scattered(levels, ratios))
     if skipped:
         log.debug("project_multires: skipped %d zero-distance points", skipped)
     if stats is not None:
         stats["skipped_zero_distance"] = skipped
-    top = keymaps[0]
-    scattered_maps = iter(keymaps)
-    keymaps = [_block_min(top, w, h, r) if r > 1 else next(scattered_maps)
-               for (w, h), r in zip(levels, ratios)]
-    layers = [EnvMapLayer(w, h, np.empty((h, w, 3)), np.empty((h, w)),
-                          np.empty((h, w), dtype=bool)) for w, h in levels]
-    parts = _parts(top_w * top_h)
-    _run_parts(_fill_layers, [(keymaps, layers, cloud.colors, i, parts)
-                              for i in range(parts)])
-    return layers
+    return _layers(keymaps, levels, ratios, [(0, cloud.colors)])
 
 
 def resample_nearest(layer: EnvMapLayer, width: int, height: int) -> EnvMapLayer:

@@ -130,36 +130,44 @@ class _Handler(socketserver.BaseRequestHandler):
             sess = state.sessions.get(packet.session_id)
             if sess is None:
                 return protocol.ErrorPacket(f"unknown session {packet.session_id}")
-            if isinstance(packet, protocol.NearKeyframe):
-                prior = sess.buffer.all_points() if sess.config.icp_enabled else None
-                sess.ingest_near(packet.to_camera_frame())
-                if sess.config.icp_enabled and prior is not None and len(prior) >= 3:
-                    self._schedule_icp(state, sess, packet.view_id, prior)
-            else:
-                sess.ingest_far(packet.to_camera_frame())
-            return _map_response(sess)
+            frame = packet.to_camera_frame()
+            if isinstance(packet, protocol.FarKeyframe):
+                with sess.lock:
+                    sess.ingest_far(frame)
+                    return _map_response(sess)
+            icp = sess.config.icp_enabled
+            with sess.lock:
+                prior = sess.buffer.all_points() if icp else None
+                sess.ingest_near(frame)
+                source = sess.buffer.get_view(packet.view_id)
+                reply = _map_response(sess)
+            if icp and source is not None and len(prior) >= 3:
+                self._schedule_icp(state, sess, packet.view_id, source, prior)
+            return reply
         return protocol.ErrorPacket(
             f"unexpected packet type {type(packet).__name__}")
 
     def _schedule_icp(self, state: _ConnectionState, sess: ReconstructionSession,
-                      view_id: int, reference) -> None:
+                      view_id: int, source, reference) -> None:
+        """Register the cloud source of view view_id against reference on
+        a worker thread, then apply it and send the updated map, unless
+        the view has received another cloud meanwhile."""
         cfg: ServerConfig = self.server.cfg
 
         def worker():
-            source = sess.buffer.get_view(view_id)
-            if source is None:
-                return
             try:
                 result = register_icp(source, reference, cfg.icp_config)
             except LitFieldError as e:
                 log.debug("registration skipped for view %d: %s", view_id, e)
                 return
-            sess.apply_registration(view_id, result.pose)
-            sess.reproject_near()
+            with sess.lock:
+                if not sess.apply_registration(view_id, result.pose, source):
+                    return
+                sess.reproject_near()
+                reply = _map_response(sess)
             try:
                 with state.send_lock:
-                    write_frame(self.request,
-                                protocol.encode_packet(_map_response(sess)))
+                    write_frame(self.request, protocol.encode_packet(reply))
             except (ConnectionError, OSError):
                 pass
 

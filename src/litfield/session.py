@@ -17,7 +17,7 @@ from . import farfield, nearfield
 from .capture import CapturePolicyConfig
 from .errors import ConfigurationError, InvalidDepthError
 from .farfield import ExtrapolationMode, ExtrapolationTable, UnitSphereAnchorSet
-from .geometry import CameraFrame, Intrinsics
+from .geometry import CameraFrame, Intrinsics, Pose
 from .nearfield import DensePointCloudBuffer, EnvMapLayer, NearFieldBoundary
 
 FAR_CAPTURE_RES = (32, 24)
@@ -115,13 +115,14 @@ class EnvironmentMap:
 
 class ReconstructionSession:
     """Owns all mutable state of one reconstruction task: the dense view
-    buffer, the anchor set, and the latest near/far maps. All mutations
-    must be serialized by the caller (one logical owner per session)."""
+    buffer, the anchor set, and the latest near/far maps. Threads that
+    share a session hold its `lock` around every call into it."""
 
     def __init__(self, session_id: int, rec_pos: np.ndarray, config: SessionConfig,
                  intrinsics: Intrinsics, native_res: tuple[int, int],
                  ambient: np.ndarray):
         self.session_id = session_id
+        self.lock = threading.Lock()
         self.rec_pos = np.asarray(rec_pos, dtype=np.float64).reshape(3)
         self.config = config
         self.intrinsics = intrinsics
@@ -227,25 +228,26 @@ class ReconstructionSession:
 
     def reproject_near(self) -> EnvMapLayer:
         """Recompute the near map from the current buffer contents (used
-        after asynchronous registration updates the buffered points)."""
+        after asynchronous registration updates the buffered points).
+        Only views whose points changed since the last call are
+        projected again."""
         boundary = NearFieldBoundary(self.rec_pos, self.config.boundary_side)
-        points = nearfield.filter_boundary(self.buffer.all_points(), boundary)
-        layers = nearfield.project_multires(points, self.rec_pos,
-                                            list(self.config.multires_levels))
+        layers = self.buffer.project(self.rec_pos, boundary,
+                                     list(self.config.multires_levels))
         merged = nearfield.merge_multires(layers, self.config.multires_levels[0])
         if self.config.multires_levels[0] != self.config.envmap_res:
             merged = nearfield.resample_nearest(merged, *self.config.envmap_res)
         self.near_map = merged
         return self.near_map
 
-    def apply_registration(self, view_id: int, correction: "Pose") -> None:
-        """Replace one view's points with their registered positions."""
-        cloud = self.buffer.get_view(view_id)
-        if cloud is None:
-            return
-        aligned = nearfield.PointCloud(correction.transform(cloud.positions),
-                                       cloud.colors)
-        self.buffer.insert_view(view_id, aligned)
+    def apply_registration(self, view_id: int, correction: Pose,
+                           source: nearfield.PointCloud) -> bool:
+        """Move the points of one view by correction, the registration of
+        its cloud source. The view keeps its slot and its recency. Returns
+        False, changing nothing, if the view no longer holds source."""
+        aligned = nearfield.PointCloud(correction.transform(source.positions),
+                                       source.colors)
+        return self.buffer.replace_view(view_id, source, aligned)
 
     def compose(self) -> EnvironmentMap:
         """Per-pixel hard override: near map where valid, far map elsewhere."""

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litfield import nearfield
-from litfield.errors import DegenerateGeometryError, NoOverlapError
+from litfield.errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
 from litfield.geometry import (ColorImage, DepthImage, Intrinsics, Pose,
                                equirect_pixel_dirs, unproject)
 from litfield.nearfield import (
@@ -139,6 +139,57 @@ class TestBuffer:
         assert len(buf) <= 3
         assert sorted(buf.view_ids()) == sorted(model)
 
+    def test_replace_view_keeps_recency(self):
+        buf = DensePointCloudBuffer(num_views=3)
+        for vid in (1, 2, 3):
+            buf.insert_view(vid, self._one_point(vid))
+        old = buf.get_view(1)
+        new = self._one_point(10.0)
+        assert buf.replace_view(1, old, new)
+        assert buf.get_view(1) is new
+        # view 1 is still the oldest, so it goes first
+        buf.insert_view(4, self._one_point())
+        assert sorted(buf.view_ids()) == [2, 3, 4]
+
+    def test_replace_view_of_a_replaced_cloud_is_dropped(self):
+        buf = DensePointCloudBuffer(num_views=3)
+        buf.insert_view(1, self._one_point(1.0))
+        old = buf.get_view(1)
+        newer = self._one_point(2.0)
+        buf.insert_view(1, newer)
+        assert not buf.replace_view(1, old, self._one_point(3.0))
+        assert buf.get_view(1) is newer
+        assert not buf.replace_view(5, old, self._one_point(3.0))
+
+    def _views(self, count, n=100, seed=0):
+        rng = np.random.default_rng(seed)
+        return [PointCloud(rng.uniform(-0.9, 0.9, (n, 3)), rng.random((n, 3)))
+                for _ in range(count)]
+
+    def test_project_follows_a_changed_projection(self):
+        buf = DensePointCloudBuffer(num_views=3)
+        for vid, cloud in enumerate(self._views(3, n=2000)):
+            buf.insert_view(vid, cloud)
+        levels = [(32, 16), (16, 8)]
+        for rec in (np.zeros(3), np.array([0.5, 0.0, 0.0])):
+            b = NearFieldBoundary(rec, side=1.5)
+            got = buf.project(rec, b, levels)
+            want = project_multires(filter_boundary(buf.all_points(), b), rec, levels)
+            _assert_same_layers(got, want)
+
+    def test_project_over_key_capacity_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(nearfield, "_MAX_POINTS", 150)
+        first, second = self._views(2)
+        buf = DensePointCloudBuffer(num_views=3)
+        b = NearFieldBoundary(np.zeros(3))
+        buf.insert_view(0, first)
+        buf.project(np.zeros(3), b, [(8, 4)])
+        buf.insert_view(1, second)
+        with pytest.raises(PointCapacityError):
+            buf.project(np.zeros(3), b, [(8, 4)])
+        with pytest.raises(PointCapacityError):
+            project_multires(buf.all_points(), np.zeros(3), [(8, 4)])
+
 
 # ── filter_boundary ──────────────────────────────────────────────────────
 
@@ -161,6 +212,31 @@ class TestFilterBoundary:
         # Corner point: Euclidean norm sqrt(3) > 1 but max-norm exactly 1.
         out = filter_boundary(_cloud([[1.0, 1.0, 1.0]]), self.B)
         assert len(out) == 1
+
+    def test_all_inside_returns_the_cloud_itself(self):
+        cloud = _cloud([[0.5, -1.0, 0.0], [0, 0, 1.0]])
+        assert filter_boundary(cloud, self.B) is cloud
+
+    def test_matches_max_formula_on_faces(self):
+        # An off-centre cube whose faces are exact in float32, points on
+        # the faces, one float32 step to either side of them, and beyond.
+        rng = np.random.default_rng(4)
+        b = NearFieldBoundary(center=np.array([0.25, -1.5, 0.125]), side=1.5)
+        n = 30_000
+        pos = (b.center + rng.uniform(-1.0, 1.0, (n, 3))).astype(np.float32)
+        axis = rng.integers(0, 3, n)
+        face = (b.center[axis] + rng.choice([-0.75, 0.75], n)).astype(np.float32)
+        step = rng.integers(-1, 2, n)
+        face[step > 0] = np.nextafter(face[step > 0], np.float32(np.inf))
+        face[step < 0] = np.nextafter(face[step < 0], np.float32(-np.inf))
+        on_face = rng.random(n) < 0.5
+        pos[on_face, axis[on_face]] = face[on_face]
+        cloud = PointCloud(pos, rng.random((n, 3)))
+        keep = np.max(np.abs(cloud.positions - b.center), axis=1) <= b.side / 2.0
+        assert 0 < keep.sum() < n
+        out = filter_boundary(cloud, b)
+        assert np.array_equal(out.positions, cloud.positions[keep])
+        assert np.array_equal(out.colors, cloud.colors[keep])
 
 
 # ── project_multires ─────────────────────────────────────────────────────

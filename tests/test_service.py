@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from litfield import protocol
+from litfield import protocol, service
 from litfield.errors import ProtocolError
 from litfield.geometry import Intrinsics
 from litfield.harness.scene import (
@@ -31,7 +32,7 @@ from litfield.service import (
     serve,
     write_frame,
 )
-from litfield.session import Preset
+from litfield.session import Preset, ReconstructionSession
 
 K_NEAR = Intrinsics(fx=40.0, fy=40.0, cx=32.0, cy=24.0, width=64, height=48)
 K_FAR = Intrinsics(fx=20.0, fy=15.0, cx=16.0, cy=12.0, width=32, height=24)
@@ -218,6 +219,38 @@ class TestIcpUpdates:
             update = client.poll_update(2.0)
             assert update is not None
             assert (update.width, update.height) == (512, 256)
+
+    def test_correction_for_a_replaced_view_is_dropped(self, monkeypatch):
+        # Registrations wait until view 1 has been sent twice, so the one
+        # computed for its first cloud finds the slot holding the second:
+        # it is dropped, and only the second one sends an update.
+        release = threading.Event()
+        register = service.register_icp
+        apply = ReconstructionSession.apply_registration
+        applied = []
+
+        def held_register(*args):
+            assert release.wait(10.0)
+            return register(*args)
+
+        def recorded_apply(*args):
+            applied.append(apply(*args))
+            return applied[-1]
+
+        monkeypatch.setattr(service, "register_icp", held_register)
+        monkeypatch.setattr(ReconstructionSession, "apply_registration",
+                            recorded_apply)
+        scene = _room()
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
+            client.send(_near_packet(scene, (0.0, 1.4, 0.4), view_id=1))
+            client.send(_near_packet(scene, (-0.3, 1.4, 0.3), view_id=1))
+            release.set()
+            assert client.poll_update(5.0) is not None
+            assert client.poll_update(0.5) is None
+        assert sorted(applied) == [False, True]
 
     def test_no_updates_when_disabled(self, server):
         scene = _room()

@@ -20,7 +20,16 @@ from litfield.harness.scene import (
     look_at,
     render_rgbd,
 )
-from litfield.nearfield import EnvMapLayer
+from litfield import nearfield
+from litfield.nearfield import (
+    EnvMapLayer,
+    NearFieldBoundary,
+    PointCloud,
+    filter_boundary,
+    merge_multires,
+    project_multires,
+    resample_nearest,
+)
 from litfield.session import (
     EnvironmentMap,
     Preset,
@@ -324,6 +333,128 @@ class TestCompose:
         got = sess.compose().pixels[valid]
         d = np.abs(got[:, None, :] - palette[None, :, :]).max(axis=2)
         assert np.all(d.min(axis=1) < 1e-6)
+
+
+# ── incremental near map and registration ────────────────────────────────
+
+INCREMENTAL_CONFIGS = {
+    "low": preset_config(Preset.LOW),
+    "medium": preset_config(Preset.MEDIUM),
+    "high": preset_config(Preset.HIGH),
+    # 40x20 does not tile 96x48, so each view keeps a key map for it; the
+    # merged map is resampled to 64x32.
+    "non-tiling": SessionConfig(preset=Preset.CUSTOM, num_views=3,
+                                multires_levels=((96, 48), (48, 24), (40, 20)),
+                                envmap_res=(64, 32), boundary_side=1.5),
+}
+REC_EXACT = np.array([0.25, 1.5, -0.125])  # exact in float32
+
+
+def _whole_buffer_near_map(sess):
+    """The near map of one projection of all buffered points."""
+    cfg = sess.config
+    boundary = NearFieldBoundary(sess.rec_pos, cfg.boundary_side)
+    points = filter_boundary(sess.buffer.all_points(), boundary)
+    layers = project_multires(points, sess.rec_pos, list(cfg.multires_levels))
+    merged = merge_multires(layers, cfg.multires_levels[0])
+    return resample_nearest(merged, *cfg.envmap_res)
+
+
+class TestIncrementalNearMap:
+    @pytest.mark.parametrize("name", list(INCREMENTAL_CONFIGS))
+    def test_bit_identical_to_whole_buffer_projection(self, name):
+        cfg = INCREMENTAL_CONFIGS[name]
+        sess = create_session(REC_EXACT, cfg, K_SMALL, (64, 48), GRAY)
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(300, 3))
+        shared = REC_EXACT + dirs / np.linalg.norm(dirs, axis=1)[:, None] \
+            * rng.uniform(0.05, 0.3, (300, 1))
+
+        def view():
+            """20k points straddling the boundary cube: 50 at the
+            reconstruction position, 300 near ones at the same places in
+            every view (exact ties across slots, in colors that differ by
+            view) and 50 duplicated within the view."""
+            pos = REC_EXACT + rng.uniform(-1.0, 1.0, (20_000, 3)) * cfg.boundary_side
+            pos[:50] = REC_EXACT
+            pos[50:350] = shared
+            pos[350:400] = pos[400:450]
+            return PointCloud(pos, rng.random((len(pos), 3)))
+
+        def check(step):
+            got = sess.reproject_near()
+            want = _whole_buffer_near_map(sess)
+            for attr in ("color", "distance", "valid"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), \
+                    (step, attr)
+
+        views = cfg.num_views
+        for vid in range(views):
+            sess.buffer.insert_view(vid, view())
+            check(f"insert {vid}")
+        sess.buffer.insert_view(1, view())
+        check("overwrite 1")
+        sess.buffer.insert_view(views, view())
+        assert 0 not in sess.buffer.view_ids()
+        check(f"insert {views}, evicting 0")
+        sess.buffer.insert_view(0, view())
+        check("re-insert 0")
+        source = sess.buffer.get_view(1)
+        moved = Pose(np.eye(3), np.array([0.01, -0.02, 0.005]))
+        assert sess.apply_registration(1, moved, source)
+        check("registration of 1")
+        assert not sess.apply_registration(1, moved, source)
+        check("stale registration of 1")
+
+    def test_near_keyframe_projects_only_the_new_view(self, monkeypatch):
+        projected = []
+        key_pass = nearfield._project_keys
+
+        def counting(positions, *args):
+            projected.append(len(positions))
+            return key_pass(positions, *args)
+
+        monkeypatch.setattr(nearfield, "_project_keys", counting)
+        scene = _small_room()  # inside the boundary: every point is kept
+        sess = _small_session()  # num_views = 3
+        eyes = [(0.4, 1.4, 0.0), (0.0, 1.4, 0.4), (-0.4, 1.4, 0.0),
+                (0.0, 1.4, -0.4), (0.4, 1.4, 0.0)]
+        for vid, eye in enumerate(eyes):
+            projected.clear()
+            sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=vid % 4))
+            assert projected == [len(sess.buffer.get_view(vid % 4))]
+
+
+class TestRegistration:
+    MOVE = Pose(np.eye(3), np.array([0.02, 0.0, -0.01]))
+
+    def test_keeps_eviction_order(self):
+        scene = _small_room()
+        sess = _small_session()  # num_views = 3
+        eyes = [(0.4, 1.4, 0.0), (0.0, 1.4, 0.4), (-0.4, 1.4, 0.0),
+                (0.0, 1.4, -0.4)]
+        for vid, eye in enumerate(eyes[:3]):
+            sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=vid))
+        source = sess.buffer.get_view(0)
+        assert sess.apply_registration(0, self.MOVE, source)
+        assert np.allclose(sess.buffer.get_view(0).positions,
+                           source.positions + self.MOVE.translation, atol=1e-6)
+        sess.ingest_near(_frame(scene, eyes[3], sess.rec_pos, view_id=3))
+        assert sorted(sess.buffer.view_ids()) == [1, 2, 3]
+
+    def test_correction_for_a_replaced_view_is_dropped(self):
+        scene = _small_room()
+        sess = _small_session()
+        sess.ingest_near(_frame(scene, (0.4, 1.4, 0.0), sess.rec_pos, view_id=0))
+        source = sess.buffer.get_view(0)
+        sess.ingest_near(_frame(scene, (0.0, 1.4, 0.4), sess.rec_pos, view_id=0))
+        current = sess.buffer.get_view(0)
+        before = sess.near_map
+        assert not sess.apply_registration(0, self.MOVE, source)
+        assert sess.buffer.get_view(0) is current
+        after = sess.reproject_near()
+        assert np.array_equal(after.color, before.color)
+        assert np.array_equal(after.valid, before.valid)
 
 
 # ── isolation ────────────────────────────────────────────────────────────
