@@ -12,13 +12,12 @@ import numpy as np
 
 from . import protocol, service
 from .capture import plan_guided_movement
-from .farfield import sparse_directions  # noqa: F401  (re-exported surface)
 from .geometry import Intrinsics, Pose
 from .harness import dataset as ds
 from .harness import metrics
 from .harness.scene import (default_scene, ground_truth_envmap, load_scene,
                             look_at, orbit_trajectory, render_rgbd)
-from .session import Preset, create_session, preset_config
+from .session import FAR_CAPTURE_RES, Preset, create_session, preset_config
 
 DEFAULT_BIND = "127.0.0.1:9876"
 
@@ -73,12 +72,10 @@ def main():
 @click.option("--steps", default=1.0, show_default=True,
               help="Orbit radius in steps of 0.3 x height.")
 @click.option("--fov", default=60.0, show_default=True, help="Camera FoV in degrees.")
-@click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def simulate(scene_path, preset, views, guided, rec_pos, height, steps, fov,
-             seed, out_dir):
+             out_dir):
     """Render a synthetic dataset: keyframe packets + ground truth."""
-    del seed  # scenes are analytic; kept for interface stability
     scene = load_scene(scene_path) if scene_path else default_scene()
     guided = int(guided)
     preset_e = _preset(preset)
@@ -88,8 +85,7 @@ def simulate(scene_path, preset, views, guided, rec_pos, height, steps, fov,
 
     cw, ch = config.near_capture_res
     near_k = _intrinsics_for(cw, ch, fov)
-    fw, fh = config.far_capture_res
-    far_k = _intrinsics_for(fw, fh, fov)
+    far_k = _intrinsics_for(*FAR_CAPTURE_RES, fov)
 
     n_views = views if views is not None else config.num_views
     orbit = orbit_trajectory(rec, height, steps)
@@ -135,13 +131,11 @@ _TIMING_ROWS = [
 @main.command()
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--icp", is_flag=True, help="Enable point cloud registration.")
-def reconstruct(data_dir, out_dir, icp):
+def reconstruct(data_dir, out_dir):
     """Run the full pipeline offline over a dataset directory."""
     data = ds.load_dataset(data_dir)
     init = data.init_packet()
-    preset_e = service._PRESET_BYTES[init.preset]
-    config = preset_config(preset_e, icp_enabled=icp)
+    config = preset_config(service.preset_of_byte(init.preset))
     sess = create_session(init.rec_pos, config, init.intrinsics,
                           init.native_res, init.ambient,
                           session_id=init.session_id)

@@ -46,4 +46,5 @@ class SceneError(LitFieldError):
 
 
 class PointCapacityError(LitFieldError):
-    """Raised when a projection would index more points than its keys hold."""
+    """Raised when a view holds more points than its buffer slot, or a
+    projection would index more points than its keys hold."""

@@ -18,6 +18,7 @@ from .nearfield import EnvMapLayer
 DEFAULT_ANCHOR_COUNT = 1280
 DEFAULT_EXPONENT = 128
 DEFAULT_TABLE_K = 32
+_CHUNK = 16384  # pixels per block of the no-table extrapolation
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -157,15 +158,13 @@ class ExtrapolationTable:
 
 
 def precompute_table(width: int, height: int, anchors: UnitSphereAnchorSet,
-                     k: int = DEFAULT_TABLE_K,
-                     chunk: int = 16384) -> ExtrapolationTable:
+                     k: int = DEFAULT_TABLE_K) -> ExtrapolationTable:
     """Precompute, for every pixel, the k anchors maximizing the dot
     product with the pixel normal."""
     if width != 2 * height:
         raise ValueError("equirectangular maps must be 2:1")
     if k > anchors.count:
         raise ValueError("k cannot exceed the anchor count")
-    del chunk  # kept for interface stability
     normals = equirect_pixel_dirs(width, height).reshape(-1, 3)
     indices, cosines = _knn_by_cosine(normals, anchors.directions, k)
     np.maximum(cosines, np.float32(0.0), out=cosines)
@@ -242,23 +241,6 @@ def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray, k: int,
     return out_idx, out_cos
 
 
-def table_size_for_exponent(anchors: UnitSphereAnchorSet, width: int, height: int,
-                            w: float, rel_cutoff: float = 1e-6) -> int:
-    """Smallest K such that, at every pixel, the (K+1)-th largest cosine
-    raised to w falls below rel_cutoff of the per-pixel maximum; capped at
-    the anchor count."""
-    normals = equirect_pixel_dirs(width, height).reshape(-1, 3).astype(np.float32)
-    dirs = anchors.directions.T.astype(np.float32)
-    # cos^w > cutoff * max^w  <=>  cos > max * cutoff^(1/w)
-    scale = np.float32(rel_cutoff ** (1.0 / w))
-    best = 0
-    for start in range(0, len(normals), 16384):
-        cos = np.maximum(normals[start:start + 16384] @ dirs, np.float32(0.0))
-        cutoff = cos.max(axis=1, keepdims=True) * scale
-        best = max(best, int((cos > cutoff).sum(axis=1).max()))
-    return min(anchors.count, max(1, best))
-
-
 class ExtrapolationMode(enum.Enum):
     LITERAL = "literal"       # (2/N) * sum of cos^w-weighted anchor colors
     NORMALIZED = "normalized"  # cos^w-weighted mean of anchor colors
@@ -283,14 +265,13 @@ def _clamped_pow(x: np.ndarray, w: float) -> np.ndarray:
 def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
                 w: float = DEFAULT_EXPONENT,
                 mode: ExtrapolationMode = ExtrapolationMode.NORMALIZED,
-                table: ExtrapolationTable | None = None,
-                chunk: int = 16384) -> EnvMapLayer:
+                table: ExtrapolationTable | None = None) -> EnvMapLayer:
     """Fill an equirectangular map from anchor colors.
 
     Every output pixel is valid; distances are +inf (far field carries no
     geometry). With a table, the map is the table's cached sparse
     operator applied to the anchor colors, summing over the K cached
-    anchors only; otherwise sums run over all N.
+    anchors only; otherwise sums run over all N, _CHUNK pixels at a time.
     """
     width, height = target
     if width != 2 * height:
@@ -308,13 +289,13 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
     else:
         out = np.empty((npix, 3))
         normals = equirect_pixel_dirs(width, height).reshape(-1, 3)
-        for start in range(0, npix, chunk):
-            raw = normals[start:start + chunk] @ anchors.directions.T
+        for start in range(0, npix, _CHUNK):
+            raw = normals[start:start + _CHUNK] @ anchors.directions.T
             cos = np.maximum(raw, 0.0)
             wts = _clamped_pow(cos, w)
             num = wts @ anchors.colors
             if mode is ExtrapolationMode.LITERAL:
-                out[start:start + chunk] = (2.0 / anchors.count) * num
+                out[start:start + _CHUNK] = (2.0 / anchors.count) * num
             else:
                 den = wts.sum(axis=1)
                 zero = den <= 0.0
@@ -322,7 +303,7 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
                 block = num / den[:, None]
                 if zero.any():
                     block[zero] = anchors.colors[np.argmax(raw[zero], axis=1)]
-                out[start:start + chunk] = block
+                out[start:start + _CHUNK] = block
 
     return EnvMapLayer(width, height,
                        out.reshape(height, width, 3),

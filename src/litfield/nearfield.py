@@ -79,11 +79,11 @@ class DensePointCloudBuffer:
     `project` projects a view only when its cloud changes.
     """
 
-    def __init__(self, num_views: int, slot_capacity: int = 0):
+    def __init__(self, num_views: int, slot_capacity: int | None = None):
         if num_views < 1:
             raise ValueError("num_views must be >= 1")
         self.num_views = num_views
-        self.slot_capacity = slot_capacity
+        self.slot_capacity = slot_capacity  # points per view; None: no limit
         self._slots: list[_ViewSlot] = []
         self._next_seq = 0
         self._projection: tuple | None = None  # what the cached keys project
@@ -91,6 +91,10 @@ class DensePointCloudBuffer:
     def insert_view(self, view_id: int, cloud: PointCloud) -> None:
         if len(cloud) == 0:
             raise ValueError("cannot insert an empty view")
+        if self.slot_capacity is not None and len(cloud) > self.slot_capacity:
+            raise PointCapacityError(
+                f"view of {len(cloud)} points exceeds the slot capacity "
+                f"of {self.slot_capacity}")
         seq = self._next_seq
         self._next_seq += 1
         for slot in self._slots:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncatedPacketError, UnknownPacketKindError
+from .errors import ProtocolError, TruncatedPacketError, UnknownPacketKindError
 from .geometry import CameraFrame, ColorImage, DepthImage, Intrinsics, Pose
 
 KIND_SESSION_INIT = 0x01
@@ -267,6 +267,16 @@ def encode_packet(p: Packet) -> bytes:
 
 
 def decode_packet(buf: bytes) -> Packet:
+    """The packet buf encodes. Raises a LitFieldError for any buffer that
+    does not encode one: ProtocolError when a field's value is invalid
+    (odd image size, non-rigid pose, bad intrinsics)."""
+    try:
+        return _decode(buf)
+    except ValueError as e:
+        raise ProtocolError(f"malformed packet: {e}") from e
+
+
+def _decode(buf: bytes) -> Packet:
     r = _Reader(buf)
     (kind,) = r.unpack("B")
     if kind == KIND_SESSION_INIT:

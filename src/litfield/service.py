@@ -28,8 +28,16 @@ log = logging.getLogger(__name__)
 
 FRAME_CAP = 64 * 1024 * 1024  # bytes
 
-_PRESET_BYTES = {0: Preset.LOW, 1: Preset.MEDIUM, 2: Preset.HIGH, 3: Preset.CUSTOM}
-PRESET_TO_BYTE = {v: k for k, v in _PRESET_BYTES.items()}
+# The preset byte of a SessionInit; CUSTOM asks for the server's default.
+PRESET_TO_BYTE = {Preset.LOW: 0, Preset.MEDIUM: 1, Preset.HIGH: 2, Preset.CUSTOM: 3}
+
+
+def preset_of_byte(value: int) -> Preset:
+    """The preset that a SessionInit preset byte names."""
+    for preset, byte in PRESET_TO_BYTE.items():
+        if byte == value:
+            return preset
+    raise ProtocolError(f"unknown preset byte {value}")
 
 
 def write_frame(sock: socket.socket, payload: bytes) -> None:
@@ -113,17 +121,12 @@ class _Handler(socketserver.BaseRequestHandler):
                   payload: bytes) -> protocol.Packet:
         packet = protocol.decode_packet(payload)
         if isinstance(packet, protocol.SessionInit):
-            preset = _PRESET_BYTES.get(packet.preset)
-            if preset is None:
-                return protocol.ErrorPacket(f"unknown preset byte {packet.preset}")
+            preset = preset_of_byte(packet.preset)
             if preset is Preset.CUSTOM:
-                config = preset_config(cfg.default_preset,
-                                       icp_enabled=cfg.icp_enabled)
-            else:
-                config = preset_config(preset, icp_enabled=cfg.icp_enabled)
+                preset = cfg.default_preset
             sess = session_mod.create_session(
-                packet.rec_pos, config, packet.intrinsics, packet.native_res,
-                packet.ambient, session_id=packet.session_id)
+                packet.rec_pos, preset_config(preset), packet.intrinsics,
+                packet.native_res, packet.ambient, session_id=packet.session_id)
             state.sessions[packet.session_id] = sess
             return _map_response(sess)
         if isinstance(packet, (protocol.NearKeyframe, protocol.FarKeyframe)):
@@ -135,7 +138,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 with sess.lock:
                     sess.ingest_far(frame)
                     return _map_response(sess)
-            icp = sess.config.icp_enabled
+            icp = cfg.icp_enabled
             with sess.lock:
                 prior = sess.buffer.all_points() if icp else None
                 sess.ingest_near(frame)

@@ -9,14 +9,13 @@ import threading
 import time
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import farfield, nearfield
-from .capture import CapturePolicyConfig
 from .errors import ConfigurationError, InvalidDepthError
-from .farfield import ExtrapolationMode, ExtrapolationTable, UnitSphereAnchorSet
+from .farfield import UnitSphereAnchorSet
 from .geometry import CameraFrame, Intrinsics, Pose
 from .nearfield import DensePointCloudBuffer, EnvMapLayer, NearFieldBoundary
 
@@ -25,14 +24,25 @@ FAR_CAPTURE_RES = (32, 24)
 _session_ids = itertools.count(1)
 _session_ids_lock = threading.Lock()
 
-# Extrapolation tables of live sessions, keyed by map size, anchor count
-# and table size. A session's anchors are always the Fibonacci lattice of
-# its anchor count, so sessions with equal keys have equal tables and share
-# one, with the operators cached on it; a table is freed with the last
-# session that uses it.
-_tables: "weakref.WeakValueDictionary[tuple, ExtrapolationTable]" = \
+# Extrapolation tables of live sessions, keyed by map size. Every session's
+# anchors are the same Fibonacci lattice, so sessions with equal map sizes
+# have equal tables and share one, with its operator cached on it; a table
+# is freed with the last session that uses it.
+_tables: "weakref.WeakValueDictionary[tuple, farfield.ExtrapolationTable]" = \
     weakref.WeakValueDictionary()
 _tables_lock = threading.Lock()
+
+
+def _extrapolation_table(envmap_res: tuple[int, int],
+                         anchors: UnitSphereAnchorSet) -> farfield.ExtrapolationTable:
+    """The shared table of a live session with this map size, or a new one."""
+    with _tables_lock:
+        table = _tables.get(envmap_res)
+    if table is None:
+        table = farfield.precompute_table(*envmap_res, anchors)
+        with _tables_lock:
+            table = _tables.setdefault(envmap_res, table)
+    return table
 
 
 class Preset(enum.Enum):
@@ -44,21 +54,15 @@ class Preset(enum.Enum):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """All quality/performance knobs for one reconstruction session."""
+    """The quality/performance knobs of one reconstruction session. The
+    far field (anchor count, exponent, capture size) and the near-field
+    boundary are fixed for every session."""
 
     preset: Preset = Preset.HIGH
     num_views: int = 5
     near_capture_res: tuple[int, int] = (1024, 768)
     multires_levels: tuple[tuple[int, int], ...] = ((1024, 512), (512, 256))
     envmap_res: tuple[int, int] = (1024, 512)
-    far_capture_res: tuple[int, int] = FAR_CAPTURE_RES
-    anchor_count: int = farfield.DEFAULT_ANCHOR_COUNT
-    extrapolation_w: float = farfield.DEFAULT_EXPONENT
-    extrapolation_mode: ExtrapolationMode = ExtrapolationMode.NORMALIZED
-    boundary_side: float = 2.0
-    capture_cfg: CapturePolicyConfig = field(default_factory=CapturePolicyConfig)
-    icp_enabled: bool = False
-    min_confidence: int = 2
 
     def __post_init__(self):
         if self.num_views < 1:
@@ -68,10 +72,6 @@ class SessionConfig:
             raise ConfigurationError("envmap_res must be 2:1")
         if not self.multires_levels:
             raise ConfigurationError("multires_levels must be nonempty")
-        if self.boundary_side <= 0:
-            raise ConfigurationError("boundary_side must be positive")
-        if self.min_confidence not in (0, 1, 2):
-            raise ConfigurationError("min_confidence must be in {0, 1, 2}")
 
 
 _PRESETS = {
@@ -128,46 +128,30 @@ class ReconstructionSession:
         self.intrinsics = intrinsics
         self.native_res = native_res
         self.ambient = np.asarray(ambient, dtype=np.float64).reshape(3)
+        if not np.isfinite(self.rec_pos).all():
+            raise ConfigurationError("rec_pos must be finite")
+        if not ((self.ambient >= 0.0) & (self.ambient <= 1.0)).all():
+            raise ConfigurationError("ambient must be finite and in [0, 1]")
 
         cw, ch = config.near_capture_res
         self.buffer = DensePointCloudBuffer(config.num_views, cw * ch)
-        self.anchors = UnitSphereAnchorSet.create(config.anchor_count)
+        self.anchors = UnitSphereAnchorSet.create()
         farfield.fill_unobserved(self.anchors, self.ambient)
-        self._table: ExtrapolationTable | None = None
+        self._table = _extrapolation_table(config.envmap_res, self.anchors)
         w, h = config.envmap_res
         self.near_map = EnvMapLayer.empty(w, h)
         self.far_map = self._extrapolate()
-        self.last_capture_ms = -np.inf
         # cumulative per-stage wall time in seconds, for the CLI timing table
         self.timings: dict[str, float] = defaultdict(float)
 
-    def _extrapolation_table(self) -> ExtrapolationTable:
-        if self._table is None:
-            w, h = self.config.envmap_res
-            k = farfield.DEFAULT_TABLE_K
-            if self.config.extrapolation_w != farfield.DEFAULT_EXPONENT:
-                k = farfield.table_size_for_exponent(
-                    self.anchors, w, h, self.config.extrapolation_w)
-            key = (w, h, self.anchors.count, k)
-            with _tables_lock:
-                table = _tables.get(key)
-            if table is None:
-                table = farfield.precompute_table(w, h, self.anchors, k)
-                with _tables_lock:
-                    table = _tables.setdefault(key, table)
-            self._table = table
-        return self._table
-
     def _extrapolate(self) -> EnvMapLayer:
         return farfield.extrapolate(self.anchors, self.config.envmap_res,
-                                    self.config.extrapolation_w,
-                                    self.config.extrapolation_mode,
-                                    self._extrapolation_table())
+                                    table=self._table)
 
     def _splat_near_sample(self, cloud: nearfield.PointCloud) -> None:
         # Downsample the dense cloud to a 32x24-equivalent sample (one
         # point per far-capture-pixel stratum) before anchor splatting.
-        fw, fh = self.config.far_capture_res
+        fw, fh = FAR_CAPTURE_RES
         stride = max(1, len(cloud) // (fw * fh))
         sample = cloud.select(slice(0, None, stride))
         rel = sample.positions - self.rec_pos
@@ -185,17 +169,14 @@ class ReconstructionSession:
             raise InvalidDepthError("near-field ingestion requires depth")
         t0 = time.perf_counter()
         cloud = nearfield.generate_dense_cloud(
-            frame.color, frame.depth, frame.intrinsics, frame.pose,
-            self.config.min_confidence)
+            frame.color, frame.depth, frame.intrinsics, frame.pose)
         self.timings["dense_cloud"] += time.perf_counter() - t0
         if len(cloud):
             self.buffer.insert_view(frame.view_id, cloud)
         # The far-field splat keeps working even when every depth sample
         # failed the confidence filter: color alone is still evidence.
-        splat_cloud = cloud
-        if not len(cloud) and self.config.min_confidence > 0:
-            splat_cloud = nearfield.generate_dense_cloud(
-                frame.color, frame.depth, frame.intrinsics, frame.pose, 0)
+        splat_cloud = cloud if len(cloud) else nearfield.generate_dense_cloud(
+            frame.color, frame.depth, frame.intrinsics, frame.pose, 0)
         if len(splat_cloud):
             t0 = time.perf_counter()
             self._splat_near_sample(splat_cloud)
@@ -211,7 +192,7 @@ class ReconstructionSession:
     def ingest_far(self, frame: CameraFrame) -> EnvMapLayer:
         """Splat one low-resolution color-only frame into the anchors and
         re-extrapolate the far map."""
-        fw, fh = self.config.far_capture_res
+        fw, fh = FAR_CAPTURE_RES
         if (frame.color.width, frame.color.height) != (fw, fh):
             raise ConfigurationError(
                 f"far-field frames must be {fw}x{fh}, "
@@ -231,7 +212,7 @@ class ReconstructionSession:
         after asynchronous registration updates the buffered points).
         Only views whose points changed since the last call are
         projected again."""
-        boundary = NearFieldBoundary(self.rec_pos, self.config.boundary_side)
+        boundary = NearFieldBoundary(self.rec_pos)
         layers = self.buffer.project(self.rec_pos, boundary,
                                      list(self.config.multires_levels))
         merged = nearfield.merge_multires(layers, self.config.multires_levels[0])

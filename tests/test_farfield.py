@@ -20,7 +20,6 @@ from litfield.farfield import (
     precompute_table,
     sparse_directions,
     splat_to_anchors,
-    table_size_for_exponent,
 )
 from litfield.geometry import (ColorImage, Intrinsics, Pose,
                                equirect_pixel_dirs)
@@ -207,16 +206,6 @@ class TestPrecomputeTable:
             precompute_table(32, 16, _gray_anchors(16), k=17)
 
 
-class TestTableSizeForExponent:
-    def test_monotone_in_w(self):
-        # Sharper kernels concentrate weight: the required table size
-        # shrinks as w grows, and never exceeds the anchor count.
-        a = UnitSphereAnchorSet.create(1280)
-        sizes = [table_size_for_exponent(a, 256, 128, w) for w in (8, 32, 128)]
-        assert sizes[0] > sizes[1] > sizes[2]
-        assert 1 <= sizes[2] <= 1280
-
-
 # ── extrapolate ──────────────────────────────────────────────────────────
 
 class TestExtrapolate:
@@ -316,12 +305,12 @@ class TestExtrapolate:
     def test_cached_operator_per_exponent_and_mode(self):
         # One table serves every (w, mode): alternate between them twice,
         # so the second round runs on the operators the first one cached.
-        # The table is sized for the smaller exponent, as a session does.
+        # K = 130 is the smallest table, at this size, that holds every
+        # anchor whose cos^64 weight is at least 1e-6 of its pixel's largest.
         rng = np.random.default_rng(23)
         a = UnitSphereAnchorSet.create(1280)
         splat_to_anchors(a, a.directions, rng.uniform(0, 1, (1280, 3)))
-        k = table_size_for_exponent(a, 128, 64, 64)
-        table = precompute_table(128, 64, a, k=k)
+        table = precompute_table(128, 64, a, k=130)
         for _ in range(2):
             for w in (64, 128):
                 for mode in (ExtrapolationMode.NORMALIZED,

@@ -89,6 +89,13 @@ class TestGenerateDenseCloud:
         with pytest.raises(ValueError):
             generate_dense_cloud(color, bad_depth, K2, Pose.identity())
 
+    def test_confidence_threshold_validation(self):
+        color, depth = _frame_2x2()
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                generate_dense_cloud(color, depth, K2, Pose.identity(),
+                                     min_confidence=bad)
+
 
 # ── DensePointCloudBuffer ────────────────────────────────────────────────
 
@@ -117,6 +124,13 @@ class TestBuffer:
         buf.insert_view(7, self._one_point())
         buf.insert_view(8, self._one_point())
         assert buf.view_ids() == [8]
+
+    def test_slot_capacity_enforced(self):
+        buf = DensePointCloudBuffer(num_views=2, slot_capacity=2)
+        buf.insert_view(0, _cloud([[0, 0, 0], [1, 0, 0]]))
+        with pytest.raises(PointCapacityError):
+            buf.insert_view(1, _cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
+        assert buf.view_ids() == [0]
 
     def test_rejects_empty_view(self):
         buf = DensePointCloudBuffer(num_views=1)
@@ -195,6 +209,11 @@ class TestBuffer:
 
 class TestFilterBoundary:
     B = NearFieldBoundary(center=np.zeros(3), side=2.0)
+
+    def test_side_validation(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                NearFieldBoundary(np.zeros(3), bad)
 
     def test_center_retained(self):
         out = filter_boundary(_cloud([[0, 0, 0]]), self.B)

@@ -7,13 +7,15 @@ values that are exactly representable in float32.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litfield.errors import TruncatedPacketError, UnknownPacketKindError
+from litfield.errors import (LitFieldError, ProtocolError, TruncatedPacketError,
+                             UnknownPacketKindError)
 from litfield.geometry import ColorImage, Intrinsics, Pose
 from litfield.protocol import (
     FAR_KEYFRAME_SIZE,
@@ -179,12 +181,29 @@ class TestMalformed:
         with pytest.raises(TruncatedPacketError):
             decode_packet(buf)
 
+    @staticmethod
+    def _far_bytes(matrix=np.eye(4), fx=20.0, w=32, h=24):
+        """A FarKeyframe's bytes, field by field, with zero pixels."""
+        return (struct.pack("<BI", 0x03, 1)
+                + np.asarray(matrix, "<f4").tobytes(order="F")
+                + struct.pack("<4f2H", fx, 15.0, 1.0, 1.0, w, h)
+                + bytes(w * h + 2 * ((w // 2) * (h // 2))))
+
+    @pytest.mark.parametrize("case", ["odd size", "scaled pose", "zero fx"])
+    def test_invalid_field_values_are_protocol_errors(self, case):
+        buf = {"odd size": self._far_bytes(w=3, h=2),
+               "scaled pose": self._far_bytes(matrix=2.0 * np.eye(4)),
+               "zero fx": self._far_bytes(fx=0.0)}[case]
+        decode_packet(self._far_bytes())  # the unaltered bytes decode
+        with pytest.raises(ProtocolError):
+            decode_packet(buf)
+
     @given(data=st.binary(max_size=300))
     @settings(max_examples=300, deadline=None)
     def test_decode_never_crashes(self, data):
         try:
             decode_packet(data)
-        except (TruncatedPacketError, UnknownPacketKindError, ValueError):
+        except LitFieldError:
             pass  # structured rejection only
 
 

@@ -32,7 +32,7 @@ from litfield.service import (
     serve,
     write_frame,
 )
-from litfield.session import Preset, ReconstructionSession
+from litfield.session import Preset, ReconstructionSession, preset_config
 
 K_NEAR = Intrinsics(fx=40.0, fy=40.0, cx=32.0, cy=24.0, width=64, height=48)
 K_FAR = Intrinsics(fx=20.0, fy=15.0, cx=16.0, cy=12.0, width=32, height=24)
@@ -149,8 +149,30 @@ class TestErrors:
 
     def test_unknown_preset_byte(self, server):
         with client_connect(server.address) as client:
-            with pytest.raises(ProtocolError, match="preset"):
-                client.send(_init_packet(preset=9))
+            for byte in (4, 7, 9, 255):
+                with pytest.raises(ProtocolError, match=f"unknown preset byte {byte}"):
+                    client.send(_init_packet(preset=byte))
+            env = client.send(_init_packet(preset=0))
+            assert (env.width, env.height) == (512, 256)
+
+    @pytest.mark.parametrize("rec_pos, ambient, match", [
+        ((np.nan, 1.4, 0.0), (0.5, 0.5, 0.5), "rec_pos"),
+        ((0.0, np.inf, 0.0), (0.5, 0.5, 0.5), "rec_pos"),
+        ((0.0, 1.4, 0.0), (0.5, np.nan, 0.5), "ambient"),
+        ((0.0, 1.4, 0.0), (np.inf, 0.5, 0.5), "ambient"),
+        ((0.0, 1.4, 0.0), (0.5, 0.5, 1.5), "ambient"),
+    ])
+    def test_invalid_session_init_gets_error_reply(self, server, rec_pos,
+                                                   ambient, match):
+        bad = protocol.SessionInit(1, np.array(rec_pos), 0, (512, 256), K_NEAR,
+                                   (64, 48), np.array(ambient))
+        with client_connect(server.address) as client:
+            with pytest.raises(ProtocolError, match=match):
+                client.send(bad)
+            with pytest.raises(ProtocolError, match="unknown session"):
+                client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
+            env = client.send(_init_packet())
+            assert np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
 
     def test_oversized_frame_rejected_client_side(self, server):
         raw = socket.create_connection(server.address, timeout=5.0)
@@ -176,6 +198,28 @@ class TestErrors:
         probe.close()
         with pytest.raises(OSError):
             client_connect(addr, timeout=0.5)
+
+
+class TestPresetBytes:
+    @pytest.mark.parametrize("default, byte, preset", [
+        (Preset.LOW, 3, Preset.LOW),
+        (Preset.HIGH, 3, Preset.HIGH),
+        (Preset.LOW, 2, Preset.HIGH),
+        (Preset.HIGH, 0, Preset.LOW),
+    ])
+    def test_custom_takes_the_server_default(self, default, byte, preset):
+        with Server(ServerConfig(default_preset=default)) as srv, \
+                client_connect(srv.address, timeout=30.0) as client:
+            env = client.send(_init_packet(preset=byte))
+        assert (env.width, env.height) == preset_config(preset).envmap_res
+
+    def test_byte_codec_round_trips(self):
+        assert service.PRESET_TO_BYTE == {Preset.LOW: 0, Preset.MEDIUM: 1,
+                                          Preset.HIGH: 2, Preset.CUSTOM: 3}
+        for preset, byte in service.PRESET_TO_BYTE.items():
+            assert service.preset_of_byte(byte) is preset
+        with pytest.raises(ProtocolError):
+            service.preset_of_byte(4)
 
 
 class TestIsolation:

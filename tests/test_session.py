@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from litfield.errors import ConfigurationError, InvalidDepthError
+from litfield import farfield
+from litfield.errors import ConfigurationError, InvalidDepthError, PointCapacityError
 from litfield.geometry import CameraFrame, ColorImage, DepthImage, Intrinsics, Pose
 from litfield.harness.scene import (
     SyntheticScene,
@@ -31,6 +32,7 @@ from litfield.nearfield import (
     resample_nearest,
 )
 from litfield.session import (
+    FAR_CAPTURE_RES,
     EnvironmentMap,
     Preset,
     SessionConfig,
@@ -97,12 +99,10 @@ class TestPresets:
         assert cfg.envmap_res == (1024, 512)
 
     def test_shared_defaults(self):
-        for preset in (Preset.LOW, Preset.MEDIUM, Preset.HIGH):
-            cfg = preset_config(preset)
-            assert cfg.far_capture_res == (32, 24)
-            assert cfg.anchor_count == 1280
-            assert cfg.extrapolation_w == 128
-            assert cfg.boundary_side == 2.0
+        assert FAR_CAPTURE_RES == (32, 24)
+        assert farfield.DEFAULT_ANCHOR_COUNT == 1280
+        assert farfield.DEFAULT_EXPONENT == 128
+        assert NearFieldBoundary(np.zeros(3)).side == 2.0
 
     def test_override(self):
         cfg = preset_config(Preset.LOW, num_views=7)
@@ -120,10 +120,6 @@ class TestPresets:
             _small_config(envmap_res=(128, 128))
         with pytest.raises(ConfigurationError):
             _small_config(multires_levels=())
-        with pytest.raises(ConfigurationError):
-            _small_config(boundary_side=0.0)
-        with pytest.raises(ConfigurationError):
-            _small_config(min_confidence=3)
 
 
 class TestEnvironmentMap:
@@ -166,6 +162,22 @@ class TestCreateSession:
         a = _small_session()
         b = _small_session()
         assert a.session_id != b.session_id
+
+    @pytest.mark.parametrize("rec_pos, ambient", [
+        ((np.nan, 1.4, 0.0), GRAY), ((0.0, np.inf, 0.0), GRAY),
+        ((0.0, 1.4, 0.0), (0.5, np.nan, 0.5)), ((0.0, 1.4, 0.0), (np.inf, 0.5, 0.5)),
+        ((0.0, 1.4, 0.0), (0.5, 0.5, 1.01)), ((0.0, 1.4, 0.0), (-0.01, 0.5, 0.5)),
+    ])
+    def test_invalid_position_or_ambient_rejected(self, rec_pos, ambient):
+        with pytest.raises(ConfigurationError):
+            create_session(np.array(rec_pos), _small_config(), K_SMALL, (64, 48),
+                           np.array(ambient))
+
+    def test_ambient_bounds_inclusive(self):
+        for ambient in (np.zeros(3), np.ones(3)):
+            sess = create_session(np.zeros(3), _small_config(), K_SMALL, (64, 48),
+                                  ambient)
+            assert np.allclose(sess.compose().pixels, ambient)
 
     def test_explicit_session_id_kept(self):
         sess = create_session(np.zeros(3), _small_config(), K_SMALL, (64, 48),
@@ -210,6 +222,22 @@ class TestIngestNear:
         for vid, eye in enumerate(eyes):
             sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=vid))
         assert sorted(sess.buffer.view_ids()) == [1, 2, 3]
+
+    def test_frame_over_slot_capacity_rejected(self):
+        cfg = preset_config(Preset.LOW)
+        cw, ch = cfg.near_capture_res
+        k = Intrinsics(200.0, 200.0, cw / 2, ch / 2, cw, ch)
+        sess = create_session(np.zeros(3), cfg, k, (cw, ch), GRAY)
+        tall = Intrinsics(200.0, 200.0, cw / 2, ch / 2, cw, ch + 1)
+        frame = CameraFrame(
+            ColorImage(cw, ch + 1, np.full((ch + 1, cw, 3), 0.25)), tall,
+            Pose.identity(),
+            DepthImage(cw, ch + 1, np.ones((ch + 1, cw)),
+                       np.full((ch + 1, cw), 2, dtype=np.uint8)))
+        with pytest.raises(PointCapacityError):
+            sess.ingest_near(frame)
+        assert len(sess.buffer) == 0
+        assert not sess.anchors.observed.any()
 
     def test_all_low_confidence_updates_far_only(self):
         scene = _small_room()
@@ -345,7 +373,7 @@ INCREMENTAL_CONFIGS = {
     # merged map is resampled to 64x32.
     "non-tiling": SessionConfig(preset=Preset.CUSTOM, num_views=3,
                                 multires_levels=((96, 48), (48, 24), (40, 20)),
-                                envmap_res=(64, 32), boundary_side=1.5),
+                                envmap_res=(64, 32)),
 }
 REC_EXACT = np.array([0.25, 1.5, -0.125])  # exact in float32
 
@@ -353,7 +381,7 @@ REC_EXACT = np.array([0.25, 1.5, -0.125])  # exact in float32
 def _whole_buffer_near_map(sess):
     """The near map of one projection of all buffered points."""
     cfg = sess.config
-    boundary = NearFieldBoundary(sess.rec_pos, cfg.boundary_side)
+    boundary = NearFieldBoundary(sess.rec_pos)
     points = filter_boundary(sess.buffer.all_points(), boundary)
     layers = project_multires(points, sess.rec_pos, list(cfg.multires_levels))
     merged = merge_multires(layers, cfg.multires_levels[0])
@@ -370,12 +398,14 @@ class TestIncrementalNearMap:
         shared = REC_EXACT + dirs / np.linalg.norm(dirs, axis=1)[:, None] \
             * rng.uniform(0.05, 0.3, (300, 1))
 
+        side = NearFieldBoundary(REC_EXACT).side
+
         def view():
             """20k points straddling the boundary cube: 50 at the
             reconstruction position, 300 near ones at the same places in
             every view (exact ties across slots, in colors that differ by
             view) and 50 duplicated within the view."""
-            pos = REC_EXACT + rng.uniform(-1.0, 1.0, (20_000, 3)) * cfg.boundary_side
+            pos = REC_EXACT + rng.uniform(-1.0, 1.0, (20_000, 3)) * side
             pos[:50] = REC_EXACT
             pos[50:350] = shared
             pos[350:400] = pos[400:450]
