@@ -268,10 +268,10 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
                 table: ExtrapolationTable | None = None) -> EnvMapLayer:
     """Fill an equirectangular map from anchor colors.
 
-    Every output pixel is valid; distances are +inf (far field carries no
-    geometry). With a table, the map is the table's cached sparse
-    operator applied to the anchor colors, summing over the K cached
-    anchors only; otherwise sums run over all N, _CHUNK pixels at a time.
+    Every output pixel is valid and +inf away (far field carries no
+    geometry), in read-only broadcast views. With a table, the map is the
+    table's cached sparse operator applied to the anchor colors, over the
+    K cached anchors only; otherwise over all N, _CHUNK pixels at a time.
     """
     width, height = target
     if width != 2 * height:
@@ -307,5 +307,5 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
 
     return EnvMapLayer(width, height,
                        out.reshape(height, width, 3),
-                       np.full((height, width), np.inf),
-                       np.ones((height, width), dtype=bool))
+                       np.broadcast_to(np.inf, (height, width)),
+                       np.broadcast_to(True, (height, width)))

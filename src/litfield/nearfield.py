@@ -62,10 +62,10 @@ class _ViewSlot:
     view_id: int
     sequence: int
     cloud: PointCloud
-    # per scattered level, the hit pixels of the flat key map of the points
-    # of cloud inside the boundary, indexed by their position in cloud, and
+    # the hit pixels of the finest level's flat key map of the points of
+    # cloud inside the boundary, indexed by their position in cloud, and
     # their keys; None until projected
-    keys: list[tuple[np.ndarray, np.ndarray]] | None = None
+    keys: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class DensePointCloudBuffer:
@@ -117,29 +117,29 @@ class DensePointCloudBuffer:
         return False
 
     def project(self, rec_pos: np.ndarray, boundary: "NearFieldBoundary",
-                levels: list[tuple[int, int]]) -> list[EnvMapLayer]:
-        """The layers of project_multires(filter_boundary(self.all_points(),
-        boundary), rec_pos, levels), bit for bit, projecting only the views
-        whose cloud changed since the last call.
+                levels: list[tuple[int, int]]) -> EnvMapLayer:
+        """merge_multires(project_multires(filter_boundary(self.all_points(),
+        boundary), rec_pos, levels), levels[0]), bit for bit, projecting
+        only the views whose cloud changed since the last call.
 
-        A view's key maps hold each point's index in its own cloud; the
+        A view's key map holds each point's index in its own cloud; the
         view's offset in the concatenation is added at merge time. The
         boundary keeps point order, so (slot order, index in view) orders
         keys as the index into the filtered concatenation does, and exact
-        ties resolve the same way.
+        ties resolve the same way. The levels are merged on keys, and
+        colors are gathered once, for the merged map.
         """
         ratios = _level_ratios(levels)
+        w, h = levels[0]
         if not self._slots:
-            return [EnvMapLayer.empty(w, h) for w, h in levels]
-        scattered = _scattered(levels, ratios)
+            return EnvMapLayer.empty(w, h)
         rec = np.asarray(rec_pos, dtype=np.float32).reshape(3)
-        projection = (rec.tobytes(), boundary.center.tobytes(), boundary.side,
-                      tuple(scattered))
+        projection = (rec.tobytes(), boundary.center.tobytes(), boundary.side, (w, h))
         if projection != self._projection:
             for slot in self._slots:
                 slot.keys = None
             self._projection = projection
-        merged = [np.full(w * h, _NO_POINT) for w, h in scattered]
+        finest = np.full(w * h, _NO_POINT)
         sources = []
         offset = 0
         for slot in self._slots:
@@ -152,15 +152,30 @@ class DensePointCloudBuffer:
                 if not inside.all():
                     index = np.flatnonzero(inside).astype(np.uint32)
                     positions = positions[index]
-                maps = _project_keys(positions, rec, scattered, index)[0]
+                keys = _project_keys(positions, rec, (w, h), index)[0]
                 # a view hits a fraction of the map: keep only those pixels
-                hits = [np.flatnonzero(m < _NO_POINT).astype(np.uint32) for m in maps]
-                slot.keys = [(pixels, m[pixels]) for pixels, m in zip(hits, maps)]
-            for acc, (pixels, keys) in zip(merged, slot.keys):
-                acc[pixels] = np.minimum(acc[pixels], keys + np.uint64(offset))
+                pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
+                slot.keys = (pixels, keys[pixels])
+            pixels, keys = slot.keys
+            finest[pixels] = np.minimum(finest[pixels], keys + np.uint64(offset))
             sources.append((offset, slot.cloud.colors))
             offset += len(slot.cloud)
-        return _layers(merged, levels, ratios, sources)
+        # floor(x / r) == floor(floor(x) / r) for integer r, and the
+        # half-width centering offset divides through, so a level whose
+        # pixels are r x r blocks of the first level's takes its key map as
+        # a block-min of the first one. The levels merge coarsest first,
+        # each broadcast over its pixel blocks; a finer level wins on its
+        # keys' upper halves (distances) alone, so it takes an exact tie
+        # even when its index is the higher one.
+        merged = np.empty_like(finest)
+        for i, ((lw, lh), r) in enumerate(reversed(list(zip(levels, ratios)))):
+            level = (finest if r == 1 else _block_min(finest, lw, lh, r)).reshape(lh, 1, lw, 1)
+            blocks = merged.reshape(lh, r, lw, r)
+            if i == 0:
+                blocks[...] = level
+            else:
+                np.copyto(blocks, level, where=(level >> 32) <= (blocks >> 32))
+        return _layer(merged, w, h, sources)
 
     def view_ids(self) -> list[int]:
         return [s.view_id for s in self._slots]
@@ -320,11 +335,11 @@ def _point_indices(start: int, stop: int) -> np.ndarray:
 
 
 def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
-                  stop: int, rec_pos: np.ndarray, levels: list[tuple[int, int]],
-                  maps: list[np.ndarray], bufs: dict) -> int:
-    """Scatter-min the keys of points start..stop-1 into one flat key map
-    per level, and return how many of them were skipped. Temporaries live
-    in the scratch set bufs.
+                  stop: int, rec_pos: np.ndarray, level: tuple[int, int],
+                  best: np.ndarray, bufs: dict) -> int:
+    """Scatter-min the keys of points start..stop-1 into the flat key map
+    best of the level (w, h), and return how many of them were skipped.
+    Temporaries live in the scratch set bufs.
 
     A key is the point's float32 distance bits above its index (index[i]
     for point i, or i itself when index is None), so one scatter-min
@@ -363,9 +378,8 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
         key[zero] = _NO_POINT
         dist[zero] = 1.0  # any finite direction; their key scatters nothing
 
-    # Spherical angles once per part; per-level work is then just the
-    # pixel quantization and the scatter-min. All stages write into
-    # reused scratch so the pass count stays at a handful.
+    # All stages write into reused scratch so the pass count stays at a
+    # handful.
     np.negative(z, out=z)
     theta_frac = _buf(bufs, "theta", n, np.float32)
     np.arctan2(x, z, out=theta_frac)
@@ -385,24 +399,24 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     np.arccos(cos_phi, out=phi_frac)
     phi_frac *= np.float32(1.0 / np.pi)
 
+    w, h = level
     px = _buf(bufs, "px", n, np.int32)
     flat = _buf(bufs, "py", n, np.int32)
-    for (w, h), best in zip(levels, maps):
-        # theta_frac*w floors into [w/2, 3w/2]; subtracting w/2 centers the
-        # forward direction, and the single value that lands on w is the
-        # wrap back to column 0.
-        np.multiply(theta_frac, np.float32(w), out=tmpf)
-        px[:] = tmpf  # C float->int cast truncates; values are >= 0
-        px -= np.int32(w // 2)
-        px[px == w] = 0
-        if any_pole:
-            px[pole] = 0
-        np.multiply(phi_frac, np.float32(h), out=tmpf)
-        flat[:] = tmpf
-        np.minimum(flat, np.int32(h - 1), out=flat)
-        flat *= np.int32(w)
-        flat += px
-        np.minimum.at(best, flat, key)
+    # theta_frac*w floors into [w/2, 3w/2]; subtracting w/2 centers the
+    # forward direction, and the single value that lands on w is the wrap
+    # back to column 0.
+    np.multiply(theta_frac, np.float32(w), out=tmpf)
+    px[:] = tmpf  # C float->int cast truncates; values are >= 0
+    px -= np.int32(w // 2)
+    px[px == w] = 0
+    if any_pole:
+        px[pole] = 0
+    np.multiply(phi_frac, np.float32(h), out=tmpf)
+    flat[:] = tmpf
+    np.minimum(flat, np.int32(h - 1), out=flat)
+    flat *= np.int32(w)
+    flat += px
+    np.minimum.at(best, flat, key)
     return skipped
 
 
@@ -435,56 +449,55 @@ def _gather(sources: list[tuple[int, np.ndarray]], idx: np.ndarray,
         out[sel] = colors.take(idx[sel] - idx.dtype.type(start), axis=0, mode="clip")
 
 
-def _fill_layers(keymaps: list[np.ndarray], layers: list[EnvMapLayer],
-                 sources: list[tuple[int, np.ndarray]], part: int,
-                 parts: int) -> None:
-    """Fill part `part` of `parts` of every layer's pixels from the layer's
-    flat key map: a hit pixel takes its winning point's color (gathered
-    from sources, see _gather) and distance."""
-    for best, layer in zip(keymaps, layers):
-        s, e = len(best) * part // parts, len(best) * (part + 1) // parts
-        keys = best[s:e]
-        color = layer.color.reshape(-1, 3)[s:e]
-        distance = layer.distance.reshape(-1)[s:e]
-        valid = layer.valid.reshape(-1)[s:e]
-        halves = keys.view(np.uint32).reshape(-1, 2)
-        np.less(keys, _NO_POINT, out=valid)
-        _gather(sources, halves[:, 0], color)
+def _layer(keys: np.ndarray, w: int, h: int,
+           sources: list[tuple[int, np.ndarray]]) -> EnvMapLayer:
+    """The w x h layer of the flat key map keys: a hit pixel takes its
+    winning point's color (gathered from sources, see _gather) and
+    distance. The pixels are filled in parts on several threads."""
+    layer = EnvMapLayer(w, h, np.empty((h, w, 3)), np.empty((h, w)),
+                        np.empty((h, w), dtype=bool))
+    color = layer.color.reshape(-1, 3)
+    distance = layer.distance.reshape(-1)
+    valid = layer.valid.reshape(-1)
+
+    def fill(s: int, e: int) -> None:
+        halves = keys[s:e].view(np.uint32).reshape(-1, 2)
+        np.less(keys[s:e], _NO_POINT, out=valid[s:e])
+        _gather(sources, halves[:, 0], color[s:e])
         # The winning distance rides in the key's upper half.
-        distance[:] = halves[:, 1].view(np.float32)
-        if not valid.all():
-            miss = ~valid
-            color[miss] = 0.0
-            distance[miss] = np.inf
+        distance[s:e] = halves[:, 1].view(np.float32)
+        miss = ~valid[s:e]
+        if miss.any():
+            color[s:e][miss] = 0.0
+            distance[s:e][miss] = np.inf
+
+    parts = _parts(w * h)
+    _run_parts(fill, [(w * h * i // parts, w * h * (i + 1) // parts) for i in range(parts)])
+    return layer
 
 
 def _level_ratios(levels: list[tuple[int, int]]) -> list[int]:
     """Check a level list and return, per level, the r for which its
-    pixels are r x r blocks of the first level's pixels; 0 for a level
-    that does not tile the first so."""
+    pixels are r x r blocks of the first level's pixels. The first level
+    is 2:1, so every level is."""
     if not levels:
         raise ValueError("levels must be nonempty")
-    for w, h in levels:
-        if w != 2 * h:
-            raise ValueError(f"level {w}x{h} is not 2:1 equirectangular")
-    widths = [w for w, _ in levels]
-    if sorted(widths, reverse=True) != widths or len(set(widths)) != len(widths):
-        raise ValueError("levels must have strictly decreasing resolutions")
     top_w, top_h = levels[0]
-    return [top_w // w if top_w % w == 0 and top_h % h == 0
-            and top_w // w == top_h // h else 0 for w, h in levels]
-
-
-def _scattered(levels: list[tuple[int, int]], ratios: list[int]) -> list[tuple[int, int]]:
-    """The levels whose key maps are scattered from the points: the first
-    and those that do not tile it."""
-    return [tuple(lv) for lv, r in zip(levels, ratios) if r <= 1]
+    if top_w != 2 * top_h:
+        raise ValueError(f"level {top_w}x{top_h} is not 2:1 equirectangular")
+    ratios = [top_w // w for w, _ in levels]
+    for (w, h), r in zip(levels, ratios):
+        if (r * w, r * h) != (top_w, top_h):
+            raise ValueError(f"level {w}x{h} does not tile {top_w}x{top_h}")
+    if sorted(set(ratios)) != ratios:
+        raise ValueError("levels must have strictly decreasing resolutions")
+    return ratios
 
 
 def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
-                  levels: list[tuple[int, int]],
-                  index: np.ndarray | None = None) -> tuple[list[np.ndarray], int]:
-    """The key pass: one flat key map per level (w, h) of the points
+                  level: tuple[int, int],
+                  index: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The key pass: the flat key map of the level (w, h) of the points
     positions, whose indices are index (uint32, increasing) or else
     0..n-1, and the number of points skipped for coinciding with rec_pos
     (float32).
@@ -496,40 +509,18 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
     if n > _MAX_POINTS:
         raise PointCapacityError(f"cannot project {n} points, over {_MAX_POINTS}")
     parts = _parts(n)
-    maps = [[np.full(w * h, _NO_POINT) for w, h in levels] for _ in range(parts)]
+    w, h = level
+    maps = [np.full(w * h, _NO_POINT) for _ in range(parts)]
     if n == 0:
         return maps[0], 0
     bounds = [n * i // parts for i in range(parts + 1)]
     skipped = sum(_run_parts(_scatter_keys, [
-        (positions, index, bounds[i], bounds[i + 1], rec_pos, levels, maps[i], bufs)
+        (positions, index, bounds[i], bounds[i + 1], rec_pos, level, maps[i], bufs)
         for i, bufs in enumerate(_part_scratch(parts))]))
-    keymaps = maps[0]
+    keys = maps[0]
     for other in maps[1:]:
-        for acc, part in zip(keymaps, other):
-            np.minimum(acc, part, out=acc)
-    return keymaps, skipped
-
-
-def _layers(scattered_maps: list[np.ndarray], levels: list[tuple[int, int]],
-            ratios: list[int], sources: list[tuple[int, np.ndarray]]) -> list[EnvMapLayer]:
-    """The layers of the key maps of the scattered levels (_scattered);
-    colors are gathered from sources (see _gather).
-
-    floor(x / r) == floor(floor(x) / r) for integer r, and the half-width
-    centering offset divides through, so a level whose pixels are r x r
-    blocks of the first level's pixels takes its key map as a block-min
-    of the first one.
-    """
-    top = scattered_maps[0]
-    scattered = iter(scattered_maps)
-    keymaps = [_block_min(top, w, h, r) if r > 1 else next(scattered)
-               for (w, h), r in zip(levels, ratios)]
-    layers = [EnvMapLayer(w, h, np.empty((h, w, 3)), np.empty((h, w)),
-                          np.empty((h, w), dtype=bool)) for w, h in levels]
-    parts = _parts(len(top))
-    _run_parts(_fill_layers, [(keymaps, layers, sources, i, parts)
-                              for i in range(parts)])
-    return layers
+        np.minimum(keys, other, out=keys)
+    return keys, skipped
 
 
 def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
@@ -537,7 +528,8 @@ def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
                      stats: dict | None = None) -> list[EnvMapLayer]:
     """Project one point cloud at every resolution level, keeping the
     closest point to rec_pos per pixel; exact distance ties go to the
-    point with the lower index.
+    point with the lower index. Every level must tile the first: its
+    pixels are r x r blocks of the first level's, for an integer r.
 
     Points coincident with rec_pos have no direction and are skipped;
     their count is reported through `stats["skipped_zero_distance"]`.
@@ -550,13 +542,14 @@ def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
             stats["skipped_zero_distance"] = 0
         return [EnvMapLayer.empty(w, h) for w, h in levels]
     rec_pos = np.asarray(rec_pos, dtype=np.float32).reshape(3)
-    keymaps, skipped = _project_keys(cloud.positions, rec_pos,
-                                     _scattered(levels, ratios))
+    finest, skipped = _project_keys(cloud.positions, rec_pos, levels[0])
     if skipped:
         log.debug("project_multires: skipped %d zero-distance points", skipped)
     if stats is not None:
         stats["skipped_zero_distance"] = skipped
-    return _layers(keymaps, levels, ratios, [(0, cloud.colors)])
+    sources = [(0, cloud.colors)]
+    return [_layer(finest if r == 1 else _block_min(finest, w, h, r), w, h, sources)
+            for (w, h), r in zip(levels, ratios)]
 
 
 def resample_nearest(layer: EnvMapLayer, width: int, height: int) -> EnvMapLayer:
@@ -568,17 +561,6 @@ def resample_nearest(layer: EnvMapLayer, width: int, height: int) -> EnvMapLayer
                        layer.color[np.ix_(ys, xs)],
                        layer.distance[np.ix_(ys, xs)],
                        layer.valid[np.ix_(ys, xs)])
-
-
-def _tiling(layer: EnvMapLayer, width: int,
-            height: int) -> tuple[EnvMapLayer, int]:
-    """The layer and the r for which its pixels are the r x r pixel blocks
-    of a width x height map. A layer that does not tile the map so is
-    resampled to the map's size first, with r = 1."""
-    r = width // layer.width
-    if (r * layer.width, r * layer.height) != (width, height):
-        return resample_nearest(layer, width, height), 1
-    return layer, r
 
 
 def _merge_rows(tiled: list[tuple[EnvMapLayer, int]], color: np.ndarray,
@@ -612,7 +594,8 @@ def _merge_rows(tiled: list[tuple[EnvMapLayer, int]], color: np.ndarray,
 def merge_multires(layers: list[EnvMapLayer], target: tuple[int, int]) -> EnvMapLayer:
     """Upscale all layers to the target resolution (nearest pixel) and keep,
     per pixel, the candidate with minimum distance; exact ties go to the
-    higher-resolution layer."""
+    higher-resolution layer. Every layer must tile the first, as in
+    project_multires."""
     if not layers:
         raise ValueError("layers must be nonempty")
     width, height = target
@@ -621,9 +604,10 @@ def merge_multires(layers: list[EnvMapLayer], target: tuple[int, int]) -> EnvMap
     # Running minimum back to front; <= on earlier (higher resolution)
     # layers makes exact ties go to the higher resolution. Bands of rows
     # that are whole pixel blocks of every layer merge independently.
-    tiled = [_tiling(layer, width, height) for layer in layers]
-    step = math.lcm(*(r for _, r in tiled))
-    last = tiled[-1][0]
+    ratios = _level_ratios([(layer.width, layer.height) for layer in layers])
+    tiled = list(zip(layers, ratios))
+    step = math.lcm(*ratios)
+    last = layers[-1]
     color = np.empty((height, width, 3), last.color.dtype)
     distance = np.empty((height, width), last.distance.dtype)
     valid = np.empty((height, width), dtype=bool)

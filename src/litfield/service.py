@@ -75,7 +75,7 @@ def _read_exact(sock: socket.socket, n: int, eof_ok: bool = True) -> bytes | Non
 class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral
-    max_connections: int = 32
+    max_connections: int = 32  # more get one error frame and are closed
     icp_enabled: bool = False
     icp_config: IcpConfig = field(default_factory=IcpConfig)
     default_preset: Preset = Preset.HIGH
@@ -95,27 +95,40 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         state = _ConnectionState()
         cfg: ServerConfig = self.server.cfg
-        while True:
-            try:
-                payload = read_frame(self.request)
-            except (ProtocolError, ConnectionError, OSError):
-                break
-            if payload is None:
-                break
-            try:
-                reply = self._dispatch(state, cfg, payload)
-            except LitFieldError as e:
-                reply = protocol.ErrorPacket(str(e))
-            except Exception as e:  # noqa: BLE001 - the server must survive fuzzing
-                log.exception("unexpected error handling frame")
-                reply = protocol.ErrorPacket(f"internal error: {e}")
-            try:
-                with state.send_lock:
-                    write_frame(self.request, protocol.encode_packet(reply))
-            except (ConnectionError, OSError):
-                break
-        for t in state.icp_threads:
-            t.join(timeout=1.0)
+        if not self.server.slots.acquire(blocking=False):
+            self._send(state, protocol.ErrorPacket(
+                f"server at its limit of {cfg.max_connections} connections"))
+            return
+        try:
+            while True:
+                try:
+                    payload = read_frame(self.request)
+                except (ProtocolError, ConnectionError, OSError):
+                    break
+                if payload is None:
+                    break
+                try:
+                    reply = self._dispatch(state, cfg, payload)
+                except LitFieldError as e:
+                    reply = protocol.ErrorPacket(str(e))
+                except Exception as e:  # noqa: BLE001 - the server must survive fuzzing
+                    log.exception("unexpected error handling frame")
+                    reply = protocol.ErrorPacket(f"internal error: {e}")
+                if not self._send(state, reply):
+                    break
+            for t in state.icp_threads:
+                t.join(timeout=1.0)
+        finally:
+            self.server.slots.release()
+
+    def _send(self, state: _ConnectionState, packet: protocol.Packet) -> bool:
+        """Write one packet frame; False if the connection is gone."""
+        try:
+            with state.send_lock:
+                write_frame(self.request, protocol.encode_packet(packet))
+        except (ConnectionError, OSError):
+            return False
+        return True
 
     def _dispatch(self, state: _ConnectionState, cfg: ServerConfig,
                   payload: bytes) -> protocol.Packet:
@@ -133,6 +146,9 @@ class _Handler(socketserver.BaseRequestHandler):
             sess = state.sessions.get(packet.session_id)
             if sess is None:
                 return protocol.ErrorPacket(f"unknown session {packet.session_id}")
+            size = (packet.intrinsics.width, packet.intrinsics.height)
+            if isinstance(packet, protocol.NearKeyframe) and size != sess.native_res:
+                raise ProtocolError(f"near frame size {size} != native_res {sess.native_res}")
             frame = packet.to_camera_frame()
             if isinstance(packet, protocol.FarKeyframe):
                 with sess.lock:
@@ -168,11 +184,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     return
                 sess.reproject_near()
                 reply = _map_response(sess)
-            try:
-                with state.send_lock:
-                    write_frame(self.request, protocol.encode_packet(reply))
-            except (ConnectionError, OSError):
-                pass
+            self._send(state, reply)
 
         t = threading.Thread(target=worker, daemon=True)
         state.icp_threads.append(t)
@@ -196,7 +208,7 @@ class Server:
     def __init__(self, cfg: ServerConfig = ServerConfig()):
         self._tcp = _Server((cfg.host, cfg.port), _Handler)
         self._tcp.cfg = cfg
-        self._tcp.request_queue_size = cfg.max_connections
+        self._tcp.slots = threading.BoundedSemaphore(cfg.max_connections)
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
 
     @property

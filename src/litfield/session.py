@@ -70,8 +70,10 @@ class SessionConfig:
         w, h = self.envmap_res
         if w != 2 * h:
             raise ConfigurationError("envmap_res must be 2:1")
-        if not self.multires_levels:
-            raise ConfigurationError("multires_levels must be nonempty")
+        try:
+            nearfield._level_ratios(list(self.multires_levels))
+        except ValueError as e:
+            raise ConfigurationError(f"multires_levels: {e}") from None
 
 
 _PRESETS = {
@@ -213,12 +215,9 @@ class ReconstructionSession:
         Only views whose points changed since the last call are
         projected again."""
         boundary = NearFieldBoundary(self.rec_pos)
-        layers = self.buffer.project(self.rec_pos, boundary,
+        merged = self.buffer.project(self.rec_pos, boundary,
                                      list(self.config.multires_levels))
-        merged = nearfield.merge_multires(layers, self.config.multires_levels[0])
-        if self.config.multires_levels[0] != self.config.envmap_res:
-            merged = nearfield.resample_nearest(merged, *self.config.envmap_res)
-        self.near_map = merged
+        self.near_map = nearfield.resample_nearest(merged, *self.config.envmap_res)
         return self.near_map
 
     def apply_registration(self, view_id: int, correction: Pose,

@@ -189,7 +189,30 @@ class TestBuffer:
             b = NearFieldBoundary(rec, side=1.5)
             got = buf.project(rec, b, levels)
             want = project_multires(filter_boundary(buf.all_points(), b), rec, levels)
-            _assert_same_layers(got, want)
+            _assert_same_layers([got], [merge_multires(want, levels[0])])
+
+    def test_equal_distance_across_levels_goes_to_the_finer_level(self):
+        # Two points at exactly the same float32 distance (dyadic
+        # coordinates, so every square and sum is exact), in different
+        # fine pixels of one 2x2 block. The block's coarse winner is the
+        # lower index, yet each fine pixel keeps its own point: levels
+        # compare distances, not whole keys (distance and index).
+        levels = [(16, 8), (8, 4)]
+        rec = np.zeros(3)
+        cloud = _cloud([[0.75, 0.25, 0.5], [0.75, 0.5, 0.25]],
+                       [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        own = [tuple(np.argwhere(project_multires(cloud.select([i]), rec,
+                                                  levels[:1])[0].valid)[0])
+               for i in range(2)]
+        assert own[0] != own[1]
+        assert own[0][0] // 2 == own[1][0] // 2 and own[0][1] // 2 == own[1][1] // 2
+        buf = DensePointCloudBuffer(num_views=1)
+        buf.insert_view(0, cloud)
+        got = buf.project(rec, NearFieldBoundary(rec), levels)
+        want = merge_multires(project_multires(cloud, rec, levels), levels[0])
+        _assert_same_layers([got], [want])
+        for i, pixel in enumerate(own):
+            assert np.array_equal(got.color[pixel], cloud.colors[i])
 
     def test_project_over_key_capacity_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(nearfield, "_MAX_POINTS", 150)
@@ -300,6 +323,8 @@ class TestProjectMultires:
             project_multires(cloud, np.zeros(3), [(10, 4)])  # not 2:1
         with pytest.raises(ValueError):
             project_multires(cloud, np.zeros(3), [(8, 4), (8, 4)])
+        with pytest.raises(ValueError, match="does not tile"):
+            project_multires(cloud, np.zeros(3), [(96, 48), (40, 20)])
 
     def test_no_blending_and_valid_bound(self):
         rng = np.random.default_rng(3)
@@ -322,8 +347,8 @@ class TestProjectMultires:
 # ── project_multires: the per-point pass split over threads ─────────────
 
 SPLIT_REC = np.array([0.1, -0.2, 0.3])
-# 48x24 is a block reduction of 96x48; 40x20 is not and is scattered.
-SPLIT_LEVELS = [(96, 48), (48, 24), (40, 20)]
+# 48x24 and 24x12 are block reductions of 96x48.
+SPLIT_LEVELS = [(96, 48), (48, 24), (24, 12)]
 
 
 def _grid_cloud(n, seed):
@@ -398,8 +423,7 @@ class TestSplitProjection:
                             layers)
 
     def test_layer_fill_and_merge_do_not_depend_on_split(self, monkeypatch):
-        # Small parts split the layer fill and the merge's row bands too;
-        # 40x20 does not tile 96x48 and goes through resample_nearest.
+        # Small parts split the layer fill and the merge's row bands too.
         cloud, _ = _grid_cloud(20_000, seed=8)
         monkeypatch.setattr(nearfield, "_MIN_PART", 500)
         results = []
@@ -503,6 +527,10 @@ class TestMergeMultires:
     def test_target_must_match_largest_layer(self):
         with pytest.raises(ValueError):
             merge_multires([_layer(8, 4)], (16, 8))
+
+    def test_layers_must_tile_the_first(self):
+        with pytest.raises(ValueError, match="does not tile"):
+            merge_multires([_layer(96, 48), _layer(40, 20)], (96, 48))
 
 
 # ── register_icp ─────────────────────────────────────────────────────────

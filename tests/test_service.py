@@ -9,6 +9,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ class TestErrors:
             env = client.send(_init_packet())
             assert np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
 
+    def test_near_frame_of_another_size_than_native_res(self, server):
+        # The session was opened for 64x48 frames; a 32x24 near frame fits
+        # its slot but is refused, and the session keeps working.
+        k_small = Intrinsics(fx=20.0, fy=20.0, cx=16.0, cy=12.0, width=32, height=24)
+        frame = render_rgbd(_room(), look_at((0.3, 1.4, 0.3), REC), k_small)
+        small = protocol.NearKeyframe(
+            1, 0, frame.pose, k_small, protocol.rgb_to_ycbcr420(frame.color),
+            frame.depth.depth.astype(np.float32), frame.depth.confidence)
+        with client_connect(server.address) as client:
+            client.send(_init_packet())
+            with pytest.raises(ProtocolError, match=r"near frame size \(32, 24\)"):
+                client.send(small)
+            env = client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
+            assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+
     def test_oversized_frame_rejected_client_side(self, server):
         raw = socket.create_connection(server.address, timeout=5.0)
         try:
@@ -198,6 +214,44 @@ class TestErrors:
         probe.close()
         with pytest.raises(OSError):
             client_connect(addr, timeout=0.5)
+
+
+class TestConnectionLimit:
+    def test_connection_over_the_limit_is_refused(self):
+        with Server(ServerConfig(max_connections=1)) as srv:
+            first = client_connect(srv.address)
+            try:
+                first.send(_init_packet())  # its handler holds the slot
+                raw = socket.create_connection(srv.address, timeout=5.0)
+                raw.settimeout(5.0)
+                try:
+                    reply = protocol.decode_packet(read_frame(raw))
+                    assert isinstance(reply, protocol.ErrorPacket)
+                    assert "limit of 1 connections" in reply.message
+                    assert read_frame(raw) is None  # and closed
+                finally:
+                    raw.close()
+                # the refusal did not take the slot
+                assert first.send(_init_packet(session_id=2)).width == 512
+            finally:
+                first.close()
+            # The slot is released once the first handler sees the close.
+            for _ in range(100):
+                raw = socket.create_connection(srv.address, timeout=5.0)
+                try:
+                    raw.settimeout(0.2)
+                    try:
+                        reply = protocol.decode_packet(read_frame(raw))
+                    except TimeoutError:  # accepted: the server awaits a frame
+                        raw.settimeout(30.0)
+                        write_frame(raw, protocol.encode_packet(_init_packet()))
+                        reply = protocol.decode_packet(read_frame(raw))
+                finally:
+                    raw.close()
+                if not isinstance(reply, protocol.ErrorPacket):
+                    break
+                time.sleep(0.05)
+            assert isinstance(reply, protocol.EnvMapResponse)
 
 
 class TestPresetBytes:

@@ -120,6 +120,8 @@ class TestPresets:
             _small_config(envmap_res=(128, 128))
         with pytest.raises(ConfigurationError):
             _small_config(multires_levels=())
+        with pytest.raises(ConfigurationError, match="does not tile"):
+            _small_config(multires_levels=((128, 64), (48, 24)))
 
 
 class TestEnvironmentMap:
@@ -369,11 +371,6 @@ INCREMENTAL_CONFIGS = {
     "low": preset_config(Preset.LOW),
     "medium": preset_config(Preset.MEDIUM),
     "high": preset_config(Preset.HIGH),
-    # 40x20 does not tile 96x48, so each view keeps a key map for it; the
-    # merged map is resampled to 64x32.
-    "non-tiling": SessionConfig(preset=Preset.CUSTOM, num_views=3,
-                                multires_levels=((96, 48), (48, 24), (40, 20)),
-                                envmap_res=(64, 32)),
 }
 REC_EXACT = np.array([0.25, 1.5, -0.125])  # exact in float32
 
