@@ -13,11 +13,12 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .geometry import ColorImage, Intrinsics, Pose, camera_ray, equirect_pixel_dirs
-from .nearfield import EnvMapLayer
+from .nearfield import EnvMapLayer, _parts, _run_parts
 
 DEFAULT_ANCHOR_COUNT = 1280
 DEFAULT_EXPONENT = 128
 DEFAULT_TABLE_K = 32
+TILE = 16  # side of the square pixel tiles of a table's change index
 _CHUNK = 16384  # pixels per block of the no-table extrapolation
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -109,6 +110,11 @@ class ExtrapolationTable:
     """Per-pixel cache of the K nearest anchors and their clamped cosines,
     stored in descending cosine order.
 
+    tile_anchors indexes the map in TILE x TILE pixel tiles (edge tiles
+    clipped): tile_anchors[a, ty, tx] holds if anchor a occurs in the
+    K-list of some pixel of tile (ty, tx), so a change of anchor a
+    reaches only the pixels of its tiles.
+
     The table also caches, per (w, mode), the sparse operator that maps
     anchor colors to map pixels, so indices and cosines must not change
     once the table is in use. Threads may share a table.
@@ -117,8 +123,9 @@ class ExtrapolationTable:
     width: int
     height: int
     anchor_count: int
-    indices: np.ndarray  # (height*width, K) int32
-    cosines: np.ndarray  # (height*width, K) float32, >= 0, descending
+    indices: np.ndarray       # (height*width, K) int32
+    cosines: np.ndarray       # (height*width, K) float32, >= 0, descending
+    tile_anchors: np.ndarray  # (anchor_count, tiles down, tiles across) bool
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
     _operators_lock: threading.Lock = field(default_factory=threading.Lock,
@@ -168,7 +175,58 @@ def precompute_table(width: int, height: int, anchors: UnitSphereAnchorSet,
     normals = equirect_pixel_dirs(width, height).reshape(-1, 3)
     indices, cosines = _knn_by_cosine(normals, anchors.directions, k)
     np.maximum(cosines, np.float32(0.0), out=cosines)
-    return ExtrapolationTable(width, height, anchors.count, indices, cosines)
+    return ExtrapolationTable(width, height, anchors.count, indices, cosines,
+                              _tile_anchors(indices, width, height, anchors.count))
+
+
+def _tile_anchors(indices: np.ndarray, width: int, height: int,
+                  anchor_count: int) -> np.ndarray:
+    """(anchor_count, tiles down, tiles across) bool: which anchors occur
+    in the K-lists of each TILE x TILE pixel tile. Built one band of
+    tiles at a time, so no index temporary spans the whole map."""
+    k = indices.shape[1]
+    out = np.zeros((anchor_count, -(-height // TILE), -(-width // TILE)), dtype=bool)
+    tile_x = (np.arange(width) // TILE)[None, :, None]
+    for ty, y0 in enumerate(range(0, height, TILE)):
+        band = indices[y0 * width:(y0 + TILE) * width].reshape(-1, width, k)
+        out[band, ty, tile_x] = True
+    return out
+
+
+def _tile_pixels(hit: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Row-major indices of the pixels that lie in the tiles hit marks."""
+    mask = np.repeat(np.repeat(hit, TILE, axis=0)[:height], TILE, axis=1)
+    return np.flatnonzero(mask[:, :width])
+
+
+def _apply(op: sparse.csr_array, colors: np.ndarray, out: np.ndarray,
+           rows: np.ndarray | None = None) -> None:
+    """out[rows] = (op @ colors)[rows], or every row if rows is None.
+
+    op has a fixed number of entries per row, so the CSR of any row
+    subset is a gather of those rows' slices, and each row is summed
+    exactly as in the full product. The rows are split into parts, one
+    per core, since the CSR product releases the GIL.
+    """
+    k = int(op.indptr[1])
+    data = op.data.reshape(-1, k)
+    indices = op.indices.reshape(-1, k)
+    n = len(out) if rows is None else len(rows)
+
+    def part(start: int, stop: int) -> None:
+        if rows is None:
+            sel = slice(start, stop)
+            sub_data, sub_indices = data[sel], indices[sel]
+        else:  # take, unlike fancy indexing, releases the GIL
+            sel = rows[start:stop]
+            sub_data, sub_indices = data.take(sel, axis=0), indices.take(sel, axis=0)
+        sub = sparse.csr_array((sub_data.reshape(-1), sub_indices.reshape(-1),
+                                op.indptr[:stop - start + 1]),
+                               shape=(stop - start, op.shape[1]))
+        out[sel] = sub @ colors
+
+    parts = _parts(n * k)
+    _run_parts(part, [(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
 
 
 def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray, k: int,
@@ -265,19 +323,30 @@ def _clamped_pow(x: np.ndarray, w: float) -> np.ndarray:
 def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
                 w: float = DEFAULT_EXPONENT,
                 mode: ExtrapolationMode = ExtrapolationMode.NORMALIZED,
-                table: ExtrapolationTable | None = None) -> EnvMapLayer:
+                table: ExtrapolationTable | None = None,
+                previous: tuple[EnvMapLayer, np.ndarray] | None = None) -> EnvMapLayer:
     """Fill an equirectangular map from anchor colors.
 
     Every output pixel is valid and +inf away (far field carries no
     geometry), in read-only broadcast views. With a table, the map is the
-    table's cached sparse operator applied to the anchor colors, over the
-    K cached anchors only; otherwise over all N, _CHUNK pixels at a time.
+    table's cached sparse operator applied to the float32 anchor colors,
+    over the K cached anchors only; otherwise over all N, _CHUNK pixels
+    at a time.
+
+    previous, table path only, is (layer, colors): a layer this function
+    returned for the same table, w and mode, and the float32 anchor
+    colors it was computed from. Only the pixels of tiles whose K-lists
+    hold an anchor whose float32 color differs from colors are computed
+    again; they are written into layer, which is returned. The result is
+    bit-identical to the full product.
     """
     width, height = target
     if width != 2 * height:
         raise ValueError("equirectangular maps must be 2:1")
     if w < 1:
         raise ValueError("exponent w must be >= 1")
+    if previous is not None and table is None:
+        raise ValueError("previous needs the table it was computed with")
     npix = width * height
 
     if table is not None:
@@ -285,7 +354,26 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
             raise ValueError("table resolution does not match target")
         if table.anchor_count != anchors.count:
             raise ValueError("table anchor count does not match anchor set")
-        out = table.operator(w, mode) @ anchors.colors.astype(np.float32)
+        colors = anchors.colors.astype(np.float32)
+        op = table.operator(w, mode)
+        if previous is None:
+            out = np.empty((npix, 3), dtype=np.float32)
+            _apply(op, colors, out)
+        else:
+            layer, before = previous
+            if (layer.width, layer.height) != (width, height) or \
+                    layer.color.shape != (height, width, 3) or \
+                    layer.color.dtype != np.float32 or \
+                    not layer.color.flags.c_contiguous:
+                raise ValueError("previous layer does not match the table")
+            if np.shape(before) != colors.shape:
+                raise ValueError("previous colors do not match the table")
+            changed = np.flatnonzero((colors != before).any(axis=1))
+            if len(changed):
+                hit = table.tile_anchors[changed].any(axis=0)
+                _apply(op, colors, layer.color.reshape(npix, 3),
+                       _tile_pixels(hit, width, height))
+            return layer
     else:
         out = np.empty((npix, 3))
         normals = equirect_pixel_dirs(width, height).reshape(-1, 3)

@@ -106,7 +106,10 @@ class EnvironmentMap:
 
     def to_uint8(self) -> np.ndarray:
         """8-bit export with round-half-up quantization."""
-        return np.floor(np.clip(self.pixels, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        scaled = np.clip(self.pixels, 0.0, 1.0)
+        scaled *= 255.0
+        scaled += 0.5
+        return np.floor(scaled, out=scaled).astype(np.uint8)
 
     @staticmethod
     def from_uint8(data: np.ndarray) -> "EnvironmentMap":
@@ -142,13 +145,21 @@ class ReconstructionSession:
         self._table = _extrapolation_table(config.envmap_res, self.anchors)
         w, h = config.envmap_res
         self.near_map = EnvMapLayer.empty(w, h)
-        self.far_map = self._extrapolate()
+        # the float32 anchor colors the far map was last computed from
+        self._far_colors = self.anchors.colors.astype(np.float32)
+        self.far_map = farfield.extrapolate(self.anchors, config.envmap_res,
+                                            table=self._table)
         # cumulative per-stage wall time in seconds, for the CLI timing table
         self.timings: dict[str, float] = defaultdict(float)
 
-    def _extrapolate(self) -> EnvMapLayer:
-        return farfield.extrapolate(self.anchors, self.config.envmap_res,
-                                    table=self._table)
+    def _update_far_map(self) -> None:
+        """Bring the far map up to date with the anchors, computing again
+        only the pixels whose anchors changed."""
+        colors = self.anchors.colors.astype(np.float32)
+        self.far_map = farfield.extrapolate(
+            self.anchors, self.config.envmap_res, table=self._table,
+            previous=(self.far_map, self._far_colors))
+        self._far_colors = colors
 
     def _splat_near_sample(self, cloud: nearfield.PointCloud) -> None:
         # Downsample the dense cloud to a 32x24-equivalent sample (one
@@ -184,7 +195,7 @@ class ReconstructionSession:
             self._splat_near_sample(splat_cloud)
             self.timings["sparse_cloud"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            self.far_map = self._extrapolate()
+            self._update_far_map()
             self.timings["anchor_extrapolation"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         self.reproject_near()
@@ -205,7 +216,7 @@ class ReconstructionSession:
         farfield.splat_to_anchors(self.anchors, dirs, colors)
         self.timings["sparse_cloud"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        self.far_map = self._extrapolate()
+        self._update_far_map()
         self.timings["anchor_extrapolation"] += time.perf_counter() - t0
         return self.far_map
 
@@ -234,7 +245,7 @@ class ReconstructionSession:
         w, h = self.config.envmap_res
         pixels = np.where(self.near_map.valid[:, :, None],
                           self.near_map.color, self.far_map.color)
-        return EnvironmentMap(w, h, np.clip(pixels, 0.0, 1.0))
+        return EnvironmentMap(w, h, np.clip(pixels, 0.0, 1.0, out=pixels))
 
 
 def create_session(rec_pos, config: SessionConfig, intrinsics: Intrinsics,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from litfield import farfield
 from litfield.farfield import (
     ExtrapolationMode,
     ExtrapolationTable,
@@ -361,3 +362,87 @@ class TestExtrapolate:
         bad_table = precompute_table(32, 16, _gray_anchors(32), k=4)
         with pytest.raises(ValueError):
             extrapolate(a, (32, 16), table=bad_table)
+
+
+# ── incremental extrapolation ────────────────────────────────────────────
+
+def _full_product(a, table):
+    op = table.operator(128, ExtrapolationMode.NORMALIZED)
+    return (op @ a.colors.astype(np.float32)).reshape(table.height, table.width, 3)
+
+
+class TestIncrementalExtrapolate:
+    # 200x100 is not a multiple of the tile size, so its edge tiles are clipped.
+    @pytest.mark.parametrize("size", [(128, 64), (200, 100)])
+    def test_bit_identical_to_full_product(self, size):
+        rng = np.random.default_rng(41)
+        a = _gray_anchors(1280)
+        table = precompute_table(*size, a)
+        layer = extrapolate(a, size, table=table)
+        assert np.array_equal(layer.color, _full_product(a, table))
+        for step in range(8):
+            before = a.colors.astype(np.float32)
+            n = int(rng.integers(1, 40))
+            splat_to_anchors(a, rng.normal(size=(n, 3)), rng.uniform(0, 1, (n, 3)))
+            if step == 5:
+                fill_unobserved(a, np.full(3, 0.25))  # colors change, weights do not
+            result = extrapolate(a, size, table=table, previous=(layer, before))
+            assert result is layer
+            assert np.array_equal(layer.color, _full_product(a, table))
+
+    @pytest.mark.parametrize("size", [(128, 64), (200, 100)])
+    def test_every_row_holding_a_changed_anchor_is_recomputed(self, size, monkeypatch):
+        # One anchor at a time, so a row missed by the tile index or by the
+        # tile edges cannot hide behind rows another anchor brings in.
+        a = _gray_anchors(1280)
+        table = precompute_table(*size, a)
+        layer = extrapolate(a, size, table=table)
+        calls = []
+        apply = farfield._apply
+
+        def spy(op, colors, out, rows=None):
+            calls.append(np.arange(len(out)) if rows is None else np.array(rows))
+            apply(op, colors, out, rows)
+
+        monkeypatch.setattr(farfield, "_apply", spy)
+        for anchor in range(0, 1280, 7):
+            before = a.colors.astype(np.float32)
+            a.colors[anchor] = 0.9 if a.colors[anchor, 0] != 0.9 else 0.1
+            calls.clear()
+            extrapolate(a, size, table=table, previous=(layer, before))
+            recomputed = np.concatenate(calls)
+            needed = np.flatnonzero((table.indices == anchor).any(axis=1))
+            assert np.isin(needed, recomputed).all(), anchor
+            assert len(recomputed) < table.width * table.height
+        assert np.array_equal(layer.color, _full_product(a, table))
+
+    @pytest.mark.parametrize("size", [(128, 64), (200, 100)])
+    def test_tile_index_holds_exactly_each_tiles_anchors(self, size):
+        width, height = size
+        table = precompute_table(width, height, _gray_anchors(1280))
+        y, x = np.divmod(np.arange(width * height), width)
+        expect = np.zeros((1280, -(-height // 16), -(-width // 16)), dtype=bool)
+        for ty in range(expect.shape[1]):
+            for tx in range(expect.shape[2]):
+                tile = (y // 16 == ty) & (x // 16 == tx)
+                expect[np.unique(table.indices[tile]), ty, tx] = True
+        assert np.array_equal(table.tile_anchors, expect)
+
+    def test_previous_validation(self):
+        a = _gray_anchors(1280)
+        table = precompute_table(64, 32, a)
+        layer = extrapolate(a, (64, 32), table=table)
+        colors = a.colors.astype(np.float32)
+        with pytest.raises(ValueError, match="table"):
+            extrapolate(a, (64, 32), previous=(layer, colors))
+        small = extrapolate(a, (32, 16), table=precompute_table(32, 16, a))
+        with pytest.raises(ValueError, match="previous layer"):
+            extrapolate(a, (64, 32), table=table, previous=(small, colors))
+        untabled = extrapolate(a, (64, 32))  # float64 colors
+        with pytest.raises(ValueError, match="previous layer"):
+            extrapolate(a, (64, 32), table=table, previous=(untabled, colors))
+        with pytest.raises(ValueError, match="previous colors"):
+            extrapolate(a, (64, 32), table=table, previous=(layer, colors[:-1]))
+        other = _gray_anchors(64)
+        with pytest.raises(ValueError, match="anchor count"):
+            extrapolate(other, (64, 32), table=table, previous=(layer, colors))

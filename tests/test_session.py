@@ -7,10 +7,14 @@ against their exact published values.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from litfield import farfield
+from litfield.capture import plan_guided_movement
 from litfield.errors import ConfigurationError, InvalidDepthError, PointCapacityError
 from litfield.geometry import CameraFrame, ColorImage, DepthImage, Intrinsics, Pose
 from litfield.harness.scene import (
@@ -131,6 +135,22 @@ class TestEnvironmentMap:
         px[0, :, 0] = vals
         m = EnvironmentMap(6, 1, px)
         assert list(m.to_uint8()[0, :, 0]) == [0, 1, 0, 255, 255, 0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_to_uint8_ties_and_out_of_range(self, dtype):
+        # 0.5 * 255 = 127.5 exactly: the tie rounds up. Every other value
+        # quantizes exactly as the reference formula does, in the input's
+        # dtype, including the ties k + 0.5 as that dtype computes them.
+        ties = (np.arange(255) + 0.5) / 255.0
+        near = np.nextafter(ties, [[-1.0], [2.0]]).ravel()
+        extremes = [-np.inf, -1e30, -0.2, -0.0, 1.0 + 1e-7, 1.5, 255.0, 1e30, np.inf]
+        vals = np.concatenate([[0.5], ties, near, extremes]).astype(dtype)
+        m = EnvironmentMap(len(vals), 1, np.repeat(vals[None, :, None], 3, axis=2))
+        out = m.to_uint8()
+        assert out[0, 0, 0] == 128
+        expect = np.floor(np.clip(vals, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        assert np.array_equal(out[0, :, 0], expect)
+        assert out.dtype == np.uint8 and np.array_equal(out[..., 0], out[..., 2])
 
     def test_uint8_round_trip(self):
         rng = np.random.default_rng(3)
@@ -335,6 +355,16 @@ class TestCompose:
         assert np.allclose(sess.compose().pixels,
                            np.clip(expect, 0.0, 1.0))
 
+    def test_out_of_range_colors_clipped_bit_exactly(self):
+        sess = _small_session()
+        w, h = sess.config.envmap_res
+        rng = np.random.default_rng(8)
+        color = rng.uniform(-0.5, 1.5, (h, w, 3))
+        mask = rng.random((h, w)) < 0.5
+        sess.near_map = EnvMapLayer(w, h, color, np.where(mask, 1.0, np.inf), mask)
+        expect = np.clip(np.where(mask[:, :, None], color, sess.far_map.color), 0.0, 1.0)
+        assert np.array_equal(sess.compose().pixels, expect)
+
     def test_compose_is_total(self):
         scene = _small_room()
         sess = _small_session()
@@ -497,3 +527,89 @@ class TestSessionIsolation:
         after = (b.near_map.color.tobytes(), b.far_map.color.tobytes(),
                  b.anchors.colors.tobytes())
         assert before == after
+
+
+# ── incremental far map ──────────────────────────────────────────────────
+
+def _far_product(sess):
+    op = sess._table.operator(farfield.DEFAULT_EXPONENT,
+                              farfield.ExtrapolationMode.NORMALIZED)
+    return (op @ sess.anchors.colors.astype(np.float32)).reshape(
+        sess.far_map.color.shape)
+
+
+class TestIncrementalFarMap:
+    def test_far_keyframe_that_changes_no_anchor_recomputes_no_row(self, monkeypatch):
+        # Gray samples onto gray anchors: weights grow, colors stay.
+        sess = _small_session()
+        rows = []
+        apply = farfield._apply
+
+        def spy(op, colors, out, subset=None):
+            rows.append(len(out) if subset is None else len(subset))
+            apply(op, colors, out, subset)
+
+        monkeypatch.setattr(farfield, "_apply", spy)
+        gray = ColorImage(*FAR_CAPTURE_RES, np.full((24, 32, 3), 0.5))
+        sess.ingest_far(CameraFrame(gray, K_FAR, look_at((0.0, 1.4, 0.0), (0.0, 1.4, -3.0))))
+        assert sess.anchors.weights.sum() == 32 * 24
+        assert sum(rows) == 0
+        red = ColorImage(*FAR_CAPTURE_RES, np.full((24, 32, 3), (0.9, 0.1, 0.1)))
+        sess.ingest_far(CameraFrame(red, K_FAR, look_at((0.0, 1.4, 0.0), (0.0, 1.4, -3.0))))
+        assert 0 < sum(rows) < 128 * 64
+        assert np.array_equal(sess.far_map.color, _far_product(sess))
+
+    # 200x100 is not a multiple of the tile size, so its edge tiles are clipped.
+    @pytest.mark.parametrize("envmap_res", [(128, 64), (200, 100)])
+    def test_two_sessions_share_a_table_on_two_threads(self, envmap_res):
+        w, h = envmap_res
+        levels = ((w, h), (w // 2, h // 2))
+        sessions = [_small_session(envmap_res=envmap_res, multires_levels=levels)
+                    for _ in range(2)]
+        assert sessions[0]._table is sessions[1]._table
+        scene = _small_room()
+        barrier = threading.Barrier(2, timeout=60.0)
+        failures = []
+
+        def play(sess, seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for step in range(6):
+                    target = sess.rec_pos + rng.normal(size=3)
+                    barrier.wait()
+                    if step == 3:
+                        eye = sess.rec_pos + np.array([0.3, 0.0, 0.3]) * (seed + 1)
+                        sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=step))
+                    else:
+                        sess.ingest_far(render_rgbd(scene, look_at(sess.rec_pos, target),
+                                                    K_FAR))
+                    if not np.array_equal(sess.far_map.color, _far_product(sess)):
+                        failures.append((seed, step))
+            except Exception as e:  # reported by the main thread
+                failures.append((seed, repr(e)))
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=play, args=(s, i))
+                       for i, s in enumerate(sessions)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert not np.array_equal(sessions[0].far_map.color, sessions[1].far_map.color)
+
+    def test_guided_high_session_bit_identical_after_every_keyframe(self):
+        config = preset_config(Preset.HIGH)
+        rec = np.array([0.0, 1.4, 0.0])
+        sess = create_session(rec, config, K_SMALL, (64, 48), GRAY)
+        assert np.array_equal(sess.far_map.color, _far_product(sess))
+        scene = default_scene()
+        for d in plan_guided_movement(np.array([0.0, 0.0, -1.0]), 9).directions:
+            sess.ingest_far(render_rgbd(scene, look_at(rec, rec + d.to_unit()), K_FAR))
+            assert np.array_equal(sess.far_map.color, _far_product(sess))
