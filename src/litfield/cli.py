@@ -136,8 +136,7 @@ def reconstruct(data_dir, out_dir):
     data = ds.load_dataset(data_dir)
     init = data.init_packet()
     config = preset_config(service.preset_of_byte(init.preset))
-    sess = create_session(init.rec_pos, config, init.intrinsics,
-                          init.native_res, init.ambient,
+    sess = create_session(init.rec_pos, config, init.native_res, init.ambient,
                           session_id=init.session_id)
 
     decode_time = 0.0

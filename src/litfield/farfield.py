@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -105,19 +104,24 @@ def fill_unobserved(anchors: UnitSphereAnchorSet, ambient: np.ndarray) -> None:
     anchors.colors[~anchors.observed] = ambient
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExtrapolationTable:
     """Per-pixel cache of the K nearest anchors and their clamped cosines,
-    stored in descending cosine order.
+    stored in descending cosine order, and the one operator a table
+    serves: NORMALIZED mode at w = DEFAULT_EXPONENT.
+
+    operator is the (height*width, anchor_count) CSR matrix W of float32
+    weights such that the table-path extrapolated map is W @ anchor
+    colors. Row p holds the cos^w weights of pixel p's K anchors divided
+    by their sum; a row whose weights all vanish has weight 1 on its
+    nearest anchor.
 
     tile_anchors indexes the map in TILE x TILE pixel tiles (edge tiles
     clipped): tile_anchors[a, ty, tx] holds if anchor a occurs in the
     K-list of some pixel of tile (ty, tx), so a change of anchor a
     reaches only the pixels of its tiles.
 
-    The table also caches, per (w, mode), the sparse operator that maps
-    anchor colors to map pixels, so indices and cosines must not change
-    once the table is in use. Threads may share a table.
+    A table never changes once built, so threads share it without a lock.
     """
 
     width: int
@@ -126,48 +130,13 @@ class ExtrapolationTable:
     indices: np.ndarray       # (height*width, K) int32
     cosines: np.ndarray       # (height*width, K) float32, >= 0, descending
     tile_anchors: np.ndarray  # (anchor_count, tiles down, tiles across) bool
-    _operators: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
-    _operators_lock: threading.Lock = field(default_factory=threading.Lock,
-                                            init=False, repr=False, compare=False)
-
-    def operator(self, w: float, mode: "ExtrapolationMode") -> sparse.csr_array:
-        """(height*width, anchor_count) CSR matrix W of float32 weights such
-        that the table-path extrapolated map is W @ anchor colors.
-
-        Row p holds the cos^w weights of pixel p's K anchors: scaled by 2/N
-        in LITERAL mode, divided by their sum in NORMALIZED mode, where a
-        row whose weights all vanish falls back to weight 1 on its nearest
-        anchor. Built once per (w, mode) and cached; the column indices
-        share the table's memory.
-        """
-        key = (float(w), mode)
-        with self._operators_lock:
-            op = self._operators.get(key)
-            if op is None:
-                wts = _clamped_pow(self.cosines, w)  # (P, K) float32, fresh
-                if mode is ExtrapolationMode.LITERAL:
-                    wts *= np.float32(2.0 / self.anchor_count)
-                else:
-                    den = wts.sum(axis=1)
-                    zero = den <= 0.0
-                    den[zero] = 1.0
-                    wts /= den[:, None]
-                    wts[zero, 0] = 1.0
-                p, k = self.indices.shape
-                idx_dtype = np.int32 if p * k < 2**31 else np.int64
-                indptr = np.arange(0, p * k + 1, k, dtype=idx_dtype)
-                indices = self.indices.reshape(-1).astype(idx_dtype, copy=False)
-                op = self._operators[key] = sparse.csr_array(
-                    (wts.reshape(-1), indices, indptr),
-                    shape=(p, self.anchor_count))
-        return op
+    operator: sparse.csr_array  # column indices share the memory of indices
 
 
 def precompute_table(width: int, height: int, anchors: UnitSphereAnchorSet,
                      k: int = DEFAULT_TABLE_K) -> ExtrapolationTable:
     """Precompute, for every pixel, the k anchors maximizing the dot
-    product with the pixel normal."""
+    product with the pixel normal, and the operator built from them."""
     if width != 2 * height:
         raise ValueError("equirectangular maps must be 2:1")
     if k > anchors.count:
@@ -175,8 +144,20 @@ def precompute_table(width: int, height: int, anchors: UnitSphereAnchorSet,
     normals = equirect_pixel_dirs(width, height).reshape(-1, 3)
     indices, cosines = _knn_by_cosine(normals, anchors.directions, k)
     np.maximum(cosines, np.float32(0.0), out=cosines)
+    wts = _clamped_pow(cosines, DEFAULT_EXPONENT)  # (P, K) float32, fresh
+    den = wts.sum(axis=1)
+    zero = den <= 0.0
+    den[zero] = 1.0
+    wts /= den[:, None]
+    wts[zero, 0] = 1.0
+    idx_dtype = np.int32 if wts.size < 2**31 else np.int64
+    operator = sparse.csr_array(
+        (wts.reshape(-1), indices.reshape(-1).astype(idx_dtype, copy=False),
+         np.arange(0, wts.size + 1, k, dtype=idx_dtype)),
+        shape=(len(indices), anchors.count))
     return ExtrapolationTable(width, height, anchors.count, indices, cosines,
-                              _tile_anchors(indices, width, height, anchors.count))
+                              _tile_anchors(indices, width, height, anchors.count),
+                              operator)
 
 
 def _tile_anchors(indices: np.ndarray, width: int, height: int,
@@ -329,16 +310,17 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
 
     Every output pixel is valid and +inf away (far field carries no
     geometry), in read-only broadcast views. With a table, the map is the
-    table's cached sparse operator applied to the float32 anchor colors,
-    over the K cached anchors only; otherwise over all N, _CHUNK pixels
-    at a time.
+    table's sparse operator applied to the float32 anchor colors, over
+    the K cached anchors only, and only NORMALIZED mode at
+    w = DEFAULT_EXPONENT is served; otherwise over all N, _CHUNK pixels
+    at a time, in either mode and at any w.
 
     previous, table path only, is (layer, colors): a layer this function
-    returned for the same table, w and mode, and the float32 anchor
-    colors it was computed from. Only the pixels of tiles whose K-lists
-    hold an anchor whose float32 color differs from colors are computed
-    again; they are written into layer, which is returned. The result is
-    bit-identical to the full product.
+    returned for the same table, and the float32 anchor colors it was
+    computed from. Only the pixels of tiles whose K-lists hold an anchor
+    whose float32 color differs from colors are computed again; they are
+    written into layer, which is returned. The result is bit-identical to
+    the full product.
     """
     width, height = target
     if width != 2 * height:
@@ -354,8 +336,11 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
             raise ValueError("table resolution does not match target")
         if table.anchor_count != anchors.count:
             raise ValueError("table anchor count does not match anchor set")
+        if w != DEFAULT_EXPONENT or mode is not ExtrapolationMode.NORMALIZED:
+            raise ValueError("a table serves only NORMALIZED mode at "
+                             f"w = {DEFAULT_EXPONENT}")
         colors = anchors.colors.astype(np.float32)
-        op = table.operator(w, mode)
+        op = table.operator
         if previous is None:
             out = np.empty((npix, 3), dtype=np.float32)
             _apply(op, colors, out)

@@ -172,6 +172,8 @@ class DepthImage:
             raise ValueError("confidence shape does not match dimensions")
         if not np.all(np.isfinite(self.depth)) or self.depth.min() < 0:
             raise ValueError("depth values must be finite and >= 0")
+        if (self.confidence > 2).any():
+            raise ValueError("confidence values must be 0, 1 or 2")
 
 
 @dataclass

@@ -138,8 +138,8 @@ class _Handler(socketserver.BaseRequestHandler):
             if preset is Preset.CUSTOM:
                 preset = cfg.default_preset
             sess = session_mod.create_session(
-                packet.rec_pos, preset_config(preset), packet.intrinsics,
-                packet.native_res, packet.ambient, session_id=packet.session_id)
+                packet.rec_pos, preset_config(preset), packet.native_res,
+                packet.ambient, session_id=packet.session_id)
             state.sessions[packet.session_id] = sess
             return _map_response(sess)
         if isinstance(packet, (protocol.NearKeyframe, protocol.FarKeyframe)):
@@ -149,7 +149,10 @@ class _Handler(socketserver.BaseRequestHandler):
             size = (packet.intrinsics.width, packet.intrinsics.height)
             if isinstance(packet, protocol.NearKeyframe) and size != sess.native_res:
                 raise ProtocolError(f"near frame size {size} != native_res {sess.native_res}")
-            frame = packet.to_camera_frame()
+            try:
+                frame = packet.to_camera_frame()
+            except ValueError as e:
+                raise ProtocolError(f"invalid keyframe: {e}") from None
             if isinstance(packet, protocol.FarKeyframe):
                 with sess.lock:
                     sess.ingest_far(frame)

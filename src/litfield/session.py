@@ -16,7 +16,7 @@ import numpy as np
 from . import farfield, nearfield
 from .errors import ConfigurationError, InvalidDepthError
 from .farfield import UnitSphereAnchorSet
-from .geometry import CameraFrame, Intrinsics, Pose
+from .geometry import CameraFrame, Pose
 from .nearfield import DensePointCloudBuffer, EnvMapLayer, NearFieldBoundary
 
 FAR_CAPTURE_RES = (32, 24)
@@ -26,8 +26,9 @@ _session_ids_lock = threading.Lock()
 
 # Extrapolation tables of live sessions, keyed by map size. Every session's
 # anchors are the same Fibonacci lattice, so sessions with equal map sizes
-# have equal tables and share one, with its operator cached on it; a table
-# is freed with the last session that uses it.
+# have equal tables and share one; a table never changes once built, so
+# sessions on any thread use it without a lock. A table is freed with the
+# last session that uses it.
 _tables: "weakref.WeakValueDictionary[tuple, farfield.ExtrapolationTable]" = \
     weakref.WeakValueDictionary()
 _tables_lock = threading.Lock()
@@ -58,7 +59,6 @@ class SessionConfig:
     far field (anchor count, exponent, capture size) and the near-field
     boundary are fixed for every session."""
 
-    preset: Preset = Preset.HIGH
     num_views: int = 5
     near_capture_res: tuple[int, int] = (1024, 768)
     multires_levels: tuple[tuple[int, int], ...] = ((1024, 512), (512, 256))
@@ -93,7 +93,7 @@ def preset_config(preset: Preset, **overrides) -> SessionConfig:
     """Session configuration for one of the three named presets."""
     if preset not in _PRESETS:
         raise ConfigurationError(f"no preset table entry for {preset}")
-    return SessionConfig(preset=preset, **(_PRESETS[preset] | overrides))
+    return SessionConfig(**(_PRESETS[preset] | overrides))
 
 
 @dataclass
@@ -124,13 +124,11 @@ class ReconstructionSession:
     share a session hold its `lock` around every call into it."""
 
     def __init__(self, session_id: int, rec_pos: np.ndarray, config: SessionConfig,
-                 intrinsics: Intrinsics, native_res: tuple[int, int],
-                 ambient: np.ndarray):
+                 native_res: tuple[int, int], ambient: np.ndarray):
         self.session_id = session_id
         self.lock = threading.Lock()
         self.rec_pos = np.asarray(rec_pos, dtype=np.float64).reshape(3)
         self.config = config
-        self.intrinsics = intrinsics
         self.native_res = native_res
         self.ambient = np.asarray(ambient, dtype=np.float64).reshape(3)
         if not np.isfinite(self.rec_pos).all():
@@ -248,13 +246,11 @@ class ReconstructionSession:
         return EnvironmentMap(w, h, np.clip(pixels, 0.0, 1.0, out=pixels))
 
 
-def create_session(rec_pos, config: SessionConfig, intrinsics: Intrinsics,
-                   native_res: tuple[int, int], ambient,
-                   session_id: int | None = None) -> ReconstructionSession:
+def create_session(rec_pos, config: SessionConfig, native_res: tuple[int, int],
+                   ambient, session_id: int | None = None) -> ReconstructionSession:
     """Initialize a session: empty view buffer, ambient-filled anchors, a
     uniform far map, and a fully invalid near map."""
     if session_id is None:
         with _session_ids_lock:
             session_id = next(_session_ids)
-    return ReconstructionSession(session_id, rec_pos, config, intrinsics,
-                                 native_res, ambient)
+    return ReconstructionSession(session_id, rec_pos, config, native_res, ambient)

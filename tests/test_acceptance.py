@@ -79,7 +79,7 @@ def orbit_run():
     truth = ground_truth_envmap(scene, rec, config.envmap_res).pixels
 
     t0 = time.perf_counter()
-    sess = create_session(rec, config, k, config.near_capture_res, AMBIENT)
+    sess = create_session(rec, config, config.near_capture_res, AMBIENT)
     sess.ingest_near(frames[0])
     composed = sess.compose().pixels
     first_view_s = time.perf_counter() - t0

@@ -303,23 +303,15 @@ class TestExtrapolate:
         assert np.all(np.isfinite(layer.color))
         assert np.allclose(layer.color, 0.5, atol=1e-12)
 
-    def test_cached_operator_per_exponent_and_mode(self):
-        # One table serves every (w, mode): alternate between them twice,
-        # so the second round runs on the operators the first one cached.
-        # K = 130 is the smallest table, at this size, that holds every
-        # anchor whose cos^64 weight is at least 1e-6 of its pixel's largest.
-        rng = np.random.default_rng(23)
-        a = UnitSphereAnchorSet.create(1280)
-        splat_to_anchors(a, a.directions, rng.uniform(0, 1, (1280, 3)))
-        table = precompute_table(128, 64, a, k=130)
-        for _ in range(2):
-            for w in (64, 128):
-                for mode in (ExtrapolationMode.NORMALIZED,
-                             ExtrapolationMode.LITERAL):
-                    fast = extrapolate(a, (128, 64), w=w, mode=mode,
-                                       table=table)
-                    slow = extrapolate(a, (128, 64), w=w, mode=mode)
-                    assert np.abs(fast.color - slow.color).max() <= 1e-3
+    def test_table_serves_only_normalized_at_default_exponent(self):
+        a = _gray_anchors(64)
+        table = precompute_table(32, 16, a, k=8)
+        with pytest.raises(ValueError, match="NORMALIZED"):
+            extrapolate(a, (32, 16), w=64, table=table)
+        with pytest.raises(ValueError, match="NORMALIZED"):
+            extrapolate(a, (32, 16), mode=ExtrapolationMode.LITERAL, table=table)
+        layer = extrapolate(a, (32, 16), w=128.0, table=table)
+        assert np.allclose(layer.color, 0.5, atol=1e-6)
 
     def test_cached_operator_follows_anchor_colors(self):
         rng = np.random.default_rng(29)
@@ -334,20 +326,18 @@ class TestExtrapolate:
         assert np.abs(after - slow).max() <= 1e-3
 
     def test_zero_weight_pixels_fall_back_through_table(self):
-        # With 16 anchors and w = 4096, the float32 weights of every
-        # tabled anchor vanish at pixels whose nearest anchor is more than
-        # ~13 degrees away; those pixels take their nearest anchor's color.
+        # With 4 anchors and w = 128, the float32 weights of every tabled
+        # anchor vanish at pixels whose nearest anchor is more than ~64
+        # degrees away; those pixels take their nearest anchor's color.
         rng = np.random.default_rng(31)
-        a = UnitSphereAnchorSet.create(16)
-        a.colors[:] = rng.uniform(0, 1, (16, 3))
-        w = 4096
+        a = UnitSphereAnchorSet.create(4)
+        a.colors[:] = rng.uniform(0, 1, (4, 3))
         table = precompute_table(32, 16, a, k=4)
-        color = extrapolate(a, (32, 16), w=w, table=table).color.reshape(-1, 3)
+        color = extrapolate(a, (32, 16), table=table).color.reshape(-1, 3)
         normals = equirect_pixel_dirs(32, 16).reshape(-1, 3)
         cos = normals @ a.directions.T
-        # far below float32's smallest subnormal, 1.4e-45
-        vanished = np.max(cos, axis=1) ** w < 1e-50
-        assert vanished.sum() >= 64
+        vanished = (np.maximum(cos, 0.0).astype(np.float32) ** 128).sum(axis=1) == 0
+        assert vanished.sum() == 28
         nearest = np.argmax(cos, axis=1)
         assert np.all(np.isfinite(color))
         assert np.allclose(color[vanished], a.colors[nearest[vanished]],
@@ -367,8 +357,8 @@ class TestExtrapolate:
 # ── incremental extrapolation ────────────────────────────────────────────
 
 def _full_product(a, table):
-    op = table.operator(128, ExtrapolationMode.NORMALIZED)
-    return (op @ a.colors.astype(np.float32)).reshape(table.height, table.width, 3)
+    return (table.operator @ a.colors.astype(np.float32)).reshape(
+        table.height, table.width, 3)
 
 
 class TestIncrementalExtrapolate:

@@ -250,6 +250,13 @@ class TestImages:
             DepthImage(4, 4, np.full((4, 4), -1.0),
                        np.full((4, 4), 2, np.uint8))
 
+    def test_depth_image_confidence_range(self):
+        conf = np.full((4, 4), 2, np.uint8)
+        DepthImage(4, 4, np.ones((4, 4)), conf)
+        conf[1, 2] = 3
+        with pytest.raises(ValueError, match="confidence"):
+            DepthImage(4, 4, np.ones((4, 4)), conf)
+
     def test_camera_frame_holds_parts(self):
         color = ColorImage(8, 4, np.zeros((4, 8, 3)))
         depth = DepthImage(8, 4, np.ones((4, 8)), np.full((4, 8), 2, np.uint8))

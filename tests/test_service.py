@@ -6,6 +6,7 @@ Each test starts an ephemeral-port server; near keyframes are kept at
 
 from __future__ import annotations
 
+import logging
 import socket
 import struct
 import threading
@@ -189,6 +190,32 @@ class TestErrors:
                 client.send(small)
             env = client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
             assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("depth", np.nan, "depth values must be finite"),
+        ("depth", -1.0, "depth values must be finite"),
+        ("confidence", 3, "confidence values must be 0, 1 or 2"),
+        ("confidence", 7, "confidence values must be 0, 1 or 2"),
+    ])
+    def test_bad_near_depth_or_confidence_gets_error_reply(self, server, caplog,
+                                                           field, value, match):
+        # Such a frame decodes; building its depth image refuses it, and
+        # the reply names the reason without a logged traceback.
+        good = _near_packet(_room(), (0.3, 1.4, 0.3))
+        bad = _near_packet(_room(), (0.3, 1.4, 0.3))
+        setattr(bad, field, getattr(bad, field).copy())
+        getattr(bad, field)[20, 30] = value
+        decoded = protocol.decode_packet(protocol.encode_packet(bad))
+        assert np.array_equal(getattr(decoded, field), getattr(bad, field),
+                              equal_nan=True)
+        with caplog.at_level(logging.DEBUG, logger="litfield.service"), \
+                client_connect(server.address) as client:
+            client.send(_init_packet())
+            with pytest.raises(ProtocolError, match=f"invalid keyframe: {match}"):
+                client.send(bad)
+            env = client.send(good)
+        assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+        assert caplog.records == []
 
     def test_oversized_frame_rejected_client_side(self, server):
         raw = socket.create_connection(server.address, timeout=5.0)

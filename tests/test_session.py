@@ -63,14 +63,14 @@ def _small_room() -> SyntheticScene:
 
 
 def _small_config(**overrides):
-    base = dict(preset=Preset.CUSTOM, num_views=3, near_capture_res=(64, 48),
+    base = dict(num_views=3, near_capture_res=(64, 48),
                 multires_levels=((128, 64), (64, 32)), envmap_res=(128, 64))
     return SessionConfig(**(base | overrides))
 
 
 def _small_session(scene=None, rec_pos=(0.0, 1.4, 0.0), **overrides):
     sess = create_session(np.asarray(rec_pos, dtype=float),
-                          _small_config(**overrides), K_SMALL, (64, 48), GRAY)
+                          _small_config(**overrides), (64, 48), GRAY)
     return sess
 
 
@@ -163,9 +163,8 @@ class TestEnvironmentMap:
 
 class TestCreateSession:
     def test_high_preset_buffer_capacity(self):
-        k = Intrinsics(800.0, 800.0, 512.0, 384.0, 1024, 768)
-        sess = create_session(np.zeros(3), preset_config(Preset.HIGH), k,
-                              (1024, 768), GRAY)
+        sess = create_session(np.zeros(3), preset_config(Preset.HIGH), (1024, 768),
+                              GRAY)
         assert sess.buffer.num_views == 5
         assert sess.buffer.slot_capacity == 1024 * 768
 
@@ -192,18 +191,17 @@ class TestCreateSession:
     ])
     def test_invalid_position_or_ambient_rejected(self, rec_pos, ambient):
         with pytest.raises(ConfigurationError):
-            create_session(np.array(rec_pos), _small_config(), K_SMALL, (64, 48),
+            create_session(np.array(rec_pos), _small_config(), (64, 48),
                            np.array(ambient))
 
     def test_ambient_bounds_inclusive(self):
         for ambient in (np.zeros(3), np.ones(3)):
-            sess = create_session(np.zeros(3), _small_config(), K_SMALL, (64, 48),
-                                  ambient)
+            sess = create_session(np.zeros(3), _small_config(), (64, 48), ambient)
             assert np.allclose(sess.compose().pixels, ambient)
 
     def test_explicit_session_id_kept(self):
-        sess = create_session(np.zeros(3), _small_config(), K_SMALL, (64, 48),
-                              GRAY, session_id=777)
+        sess = create_session(np.zeros(3), _small_config(), (64, 48), GRAY,
+                              session_id=777)
         assert sess.session_id == 777
 
 
@@ -248,8 +246,7 @@ class TestIngestNear:
     def test_frame_over_slot_capacity_rejected(self):
         cfg = preset_config(Preset.LOW)
         cw, ch = cfg.near_capture_res
-        k = Intrinsics(200.0, 200.0, cw / 2, ch / 2, cw, ch)
-        sess = create_session(np.zeros(3), cfg, k, (cw, ch), GRAY)
+        sess = create_session(np.zeros(3), cfg, (cw, ch), GRAY)
         tall = Intrinsics(200.0, 200.0, cw / 2, ch / 2, cw, ch + 1)
         frame = CameraFrame(
             ColorImage(cw, ch + 1, np.full((ch + 1, cw, 3), 0.25)), tall,
@@ -419,7 +416,7 @@ class TestIncrementalNearMap:
     @pytest.mark.parametrize("name", list(INCREMENTAL_CONFIGS))
     def test_bit_identical_to_whole_buffer_projection(self, name):
         cfg = INCREMENTAL_CONFIGS[name]
-        sess = create_session(REC_EXACT, cfg, K_SMALL, (64, 48), GRAY)
+        sess = create_session(REC_EXACT, cfg, (64, 48), GRAY)
         rng = np.random.default_rng(11)
         dirs = rng.normal(size=(300, 3))
         shared = REC_EXACT + dirs / np.linalg.norm(dirs, axis=1)[:, None] \
@@ -532,9 +529,7 @@ class TestSessionIsolation:
 # ── incremental far map ──────────────────────────────────────────────────
 
 def _far_product(sess):
-    op = sess._table.operator(farfield.DEFAULT_EXPONENT,
-                              farfield.ExtrapolationMode.NORMALIZED)
-    return (op @ sess.anchors.colors.astype(np.float32)).reshape(
+    return (sess._table.operator @ sess.anchors.colors.astype(np.float32)).reshape(
         sess.far_map.color.shape)
 
 
@@ -607,7 +602,7 @@ class TestIncrementalFarMap:
     def test_guided_high_session_bit_identical_after_every_keyframe(self):
         config = preset_config(Preset.HIGH)
         rec = np.array([0.0, 1.4, 0.0])
-        sess = create_session(rec, config, K_SMALL, (64, 48), GRAY)
+        sess = create_session(rec, config, (64, 48), GRAY)
         assert np.array_equal(sess.far_map.color, _far_product(sess))
         scene = default_scene()
         for d in plan_guided_movement(np.array([0.0, 0.0, -1.0]), 9).directions:
