@@ -18,6 +18,7 @@ DEFAULT_ANCHOR_COUNT = 1280
 DEFAULT_EXPONENT = 128
 DEFAULT_TABLE_K = 32
 TILE = 16  # side of the square pixel tiles of a table's change index
+_KNN_GRID_HEIGHT = 24  # rows of the query cell grid of _knn_by_cosine
 _CHUNK = 16384  # pixels per block of the no-table extrapolation
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -139,8 +140,8 @@ def precompute_table(width: int, height: int, anchors: UnitSphereAnchorSet,
     product with the pixel normal, and the operator built from them."""
     if width != 2 * height:
         raise ValueError("equirectangular maps must be 2:1")
-    if k > anchors.count:
-        raise ValueError("k cannot exceed the anchor count")
+    if not 1 <= k <= anchors.count:
+        raise ValueError(f"k must be in 1..{anchors.count} (the anchor count), got {k}")
     normals = equirect_pixel_dirs(width, height).reshape(-1, 3)
     indices, cosines = _knn_by_cosine(normals, anchors.directions, k)
     np.maximum(cosines, np.float32(0.0), out=cosines)
@@ -210,14 +211,14 @@ def _apply(op: sparse.csr_array, colors: np.ndarray, out: np.ndarray,
     _run_parts(part, [(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
 
 
-def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray, k: int,
-                   grid_height: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k-nearest anchors (descending cosine) for every query normal.
 
     Euclidean KNN on unit vectors orders by descending cosine
     (|p - n|^2 = 2 - 2 p.n). Queries are bucketed into a coarse
     equirectangular grid of cells; each cell's candidate set is every
-    anchor within (32-NN radius of the cell center) + 2 x (max chord from
+    anchor within (k-NN radius of the cell center) + 2 x (max chord from
     the cell center to a query in the cell), which by the triangle
     inequality contains the true k nearest anchors of every query in the
     cell. Top-k over the padded candidate lists is then a small
@@ -226,14 +227,7 @@ def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray, k: int,
     Returns (indices int32, cosines float32), both (P, k), cosine-descending.
     """
     n_anchors = len(directions)
-    if k >= n_anchors // 4 or len(normals) < 4096:
-        tree = cKDTree(directions)
-        _, idx = tree.query(normals, k=k, workers=-1)
-        idx = np.ascontiguousarray(np.atleast_2d(idx), dtype=np.int32)
-        cos = np.einsum("pkj,pj->pk", directions[idx], normals).astype(np.float32)
-        return idx, cos
-
-    gh, gw = grid_height, 2 * grid_height
+    gh, gw = _KNN_GRID_HEIGHT, 2 * _KNN_GRID_HEIGHT
     theta = np.arctan2(normals[:, 0], -normals[:, 2])  # (-pi, pi]
     phi = np.arccos(np.clip(normals[:, 1], -1.0, 1.0))
     cx = np.clip(((theta + math.pi) / (2.0 * math.pi) * gw).astype(np.int64), 0, gw - 1)
@@ -248,8 +242,8 @@ def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray, k: int,
                         (-sp * np.cos(tc)[None, :]).ravel()], axis=1)
 
     tree = cKDTree(directions)
-    d_k, _ = tree.query(centers, k=k, workers=-1)
-    radius_k = d_k[:, -1]
+    d_k, _ = tree.query(centers, k=[k], workers=-1)  # k=[k]: (cells, 1) even at k = 1
+    radius_k = d_k[:, 0]
 
     order = np.argsort(cell, kind="stable")
     sorted_cell = cell[order]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,6 @@ class Intrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-    def scaled(self, new_width: int, new_height: int) -> "Intrinsics":
-        """Intrinsics for the same camera resampled to a new resolution."""
-        sx = new_width / self.width
-        sy = new_height / self.height
-        return Intrinsics(self.fx * sx, self.fy * sy, self.cx * sx, self.cy * sy,
-                          new_width, new_height)
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,6 @@ class CameraFrame:
     pose: Pose
     depth: DepthImage | None = None
     view_id: int = 0
-    timestamp_ms: float = field(default=0.0)
 
 
 class Observation(enum.Enum):
@@ -255,23 +247,6 @@ def dir_to_equirect(direction, width: int, height: int) -> tuple[int, int]:
         return 0, py
     theta = math.atan2(float(d[0]), -float(d[2])) % _TWO_PI
     px = (int(theta / _TWO_PI * width) + width // 2) % width
-    return px, py
-
-
-def dirs_to_equirect(dirs: np.ndarray, width: int, height: int):
-    """Vectorized dir_to_equirect over an (N, 3) array of unit directions.
-
-    Returns (px, py) integer arrays. Pole handling matches the scalar path.
-    """
-    d = np.asarray(dirs, dtype=np.float64)
-    y = np.clip(d[:, 1], -1.0, 1.0)
-    phi = np.arccos(y)
-    py = np.minimum((phi / math.pi * height).astype(np.int64), height - 1)
-    theta = np.arctan2(d[:, 0], -d[:, 2]) % _TWO_PI
-    px = ((theta / _TWO_PI * width).astype(np.int64) + width // 2) % width
-    pole = (phi == 0.0) | (phi == math.pi)
-    if pole.any():
-        px = np.where(pole, 0, px)
     return px, py
 
 

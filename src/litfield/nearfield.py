@@ -7,7 +7,6 @@ per-pixel occlusion, layer merging, and point-to-point ICP registration.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import threading
@@ -19,8 +18,6 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
 from .geometry import ColorImage, DepthImage, Intrinsics, Pose, camera_ray
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -75,18 +72,28 @@ class DensePointCloudBuffer:
     Re-inserting an existing view_id overwrites its slot in place
     (spatial consistency); a new view_id fills a free slot or evicts the
     slot with the smallest insertion sequence number (temporal
-    consistency). Each slot caches the projection of its cloud, so
-    `project` projects a view only when its cloud changes.
+    consistency).
+
+    A buffer projects for one reconstruction position rec_pos, its 2 m
+    NearFieldBoundary and one level list, all fixed when it is built.
+    Each slot caches the projection of its cloud, so `project` projects
+    a view only when its cloud changes.
     """
 
-    def __init__(self, num_views: int, slot_capacity: int | None = None):
+    def __init__(self, num_views: int, rec_pos: np.ndarray,
+                 levels: list[tuple[int, int]], slot_capacity: int | None = None):
         if num_views < 1:
             raise ValueError("num_views must be >= 1")
         self.num_views = num_views
         self.slot_capacity = slot_capacity  # points per view; None: no limit
+        self._boundary = NearFieldBoundary(rec_pos)
+        self._rec = np.asarray(rec_pos, dtype=np.float32).reshape(3)
+        levels = list(levels)
+        self._size = levels[0]  # of the first level, and of the merged map
+        # (level, r) pairs, coarsest first: the order the levels merge in
+        self._merge_order = list(zip(levels, _level_ratios(levels)))[::-1]
         self._slots: list[_ViewSlot] = []
         self._next_seq = 0
-        self._projection: tuple | None = None  # what the cached keys project
 
     def insert_view(self, view_id: int, cloud: PointCloud) -> None:
         if len(cloud) == 0:
@@ -116,11 +123,11 @@ class DensePointCloudBuffer:
                 return True
         return False
 
-    def project(self, rec_pos: np.ndarray, boundary: "NearFieldBoundary",
-                levels: list[tuple[int, int]]) -> EnvMapLayer:
+    def project(self) -> EnvMapLayer:
         """merge_multires(project_multires(filter_boundary(self.all_points(),
-        boundary), rec_pos, levels), levels[0]), bit for bit, projecting
-        only the views whose cloud changed since the last call.
+        NearFieldBoundary(rec_pos)), rec_pos, levels), levels[0]) for the
+        buffer's rec_pos and levels, bit for bit, projecting only the
+        views whose cloud changed since the last call.
 
         A view's key map holds each point's index in its own cloud; the
         view's offset in the concatenation is added at merge time. The
@@ -129,16 +136,9 @@ class DensePointCloudBuffer:
         ties resolve the same way. The levels are merged on keys, and
         colors are gathered once, for the merged map.
         """
-        ratios = _level_ratios(levels)
-        w, h = levels[0]
+        w, h = self._size
         if not self._slots:
             return EnvMapLayer.empty(w, h)
-        rec = np.asarray(rec_pos, dtype=np.float32).reshape(3)
-        projection = (rec.tobytes(), boundary.center.tobytes(), boundary.side, (w, h))
-        if projection != self._projection:
-            for slot in self._slots:
-                slot.keys = None
-            self._projection = projection
         finest = np.full(w * h, _NO_POINT)
         sources = []
         offset = 0
@@ -147,12 +147,12 @@ class DensePointCloudBuffer:
             if offset + len(positions) > _MAX_POINTS:
                 raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} points")
             if slot.keys is None:
-                inside = _inside(positions, boundary)
+                inside = _inside(positions, self._boundary)
                 index = None
                 if not inside.all():
                     index = np.flatnonzero(inside).astype(np.uint32)
                     positions = positions[index]
-                keys = _project_keys(positions, rec, (w, h), index)[0]
+                keys = _project_keys(positions, self._rec, (w, h), index)
                 # a view hits a fraction of the map: keep only those pixels
                 pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
                 slot.keys = (pixels, keys[pixels])
@@ -168,7 +168,7 @@ class DensePointCloudBuffer:
         # keys' upper halves (distances) alone, so it takes an exact tie
         # even when its index is the higher one.
         merged = np.empty_like(finest)
-        for i, ((lw, lh), r) in enumerate(reversed(list(zip(levels, ratios)))):
+        for i, ((lw, lh), r) in enumerate(self._merge_order):
             level = (finest if r == 1 else _block_min(finest, lw, lh, r)).reshape(lh, 1, lw, 1)
             blocks = merged.reshape(lh, r, lw, r)
             if i == 0:
@@ -336,18 +336,18 @@ def _point_indices(start: int, stop: int) -> np.ndarray:
 
 def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
                   stop: int, rec_pos: np.ndarray, level: tuple[int, int],
-                  best: np.ndarray, bufs: dict) -> int:
+                  best: np.ndarray, bufs: dict) -> None:
     """Scatter-min the keys of points start..stop-1 into the flat key map
-    best of the level (w, h), and return how many of them were skipped.
-    Temporaries live in the scratch set bufs.
+    best of the level (w, h). Temporaries live in the scratch set bufs.
 
     A key is the point's float32 distance bits above its index (index[i]
     for point i, or i itself when index is None), so one scatter-min
     resolves both the winning distance and which point produced it, and
-    equal distances break toward the lower index. Distances are non-negative, so the float32 bit pattern
-    orders like the value. Because indices are global, the element-wise
-    minimum of the maps of disjoint parts is the map of their union.
-    Points coincident with rec_pos have no direction and are skipped.
+    equal distances break toward the lower index. Distances are
+    non-negative, so the float32 bit pattern orders like the value.
+    Because indices are global, the element-wise minimum of the maps of
+    disjoint parts is the map of their union. Points coincident with
+    rec_pos have no direction and scatter nothing.
     """
     n = stop - start
     pos = positions[start:stop]
@@ -371,10 +371,8 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     halves[:, 0] = _point_indices(start, stop) if index is None else index[start:stop]
     halves[:, 1] = dist.view(np.uint32)
     key = halves.view(np.uint64).reshape(n)
-    skipped = 0
     if float(dist.min()) <= 0.0:
         zero = dist <= 0.0
-        skipped = int(np.count_nonzero(zero))
         key[zero] = _NO_POINT
         dist[zero] = 1.0  # any finite direction; their key scatters nothing
 
@@ -417,7 +415,6 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     flat *= np.int32(w)
     flat += px
     np.minimum.at(best, flat, key)
-    return skipped
 
 
 def _block_min(keys: np.ndarray, w: int, h: int, r: int) -> np.ndarray:
@@ -496,11 +493,10 @@ def _level_ratios(levels: list[tuple[int, int]]) -> list[int]:
 
 def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
                   level: tuple[int, int],
-                  index: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                  index: np.ndarray | None = None) -> np.ndarray:
     """The key pass: the flat key map of the level (w, h) of the points
     positions, whose indices are index (uint32, increasing) or else
-    0..n-1, and the number of points skipped for coinciding with rec_pos
-    (float32).
+    0..n-1; points coinciding with rec_pos (float32) scatter nothing.
 
     Large inputs are split in parts on several threads; because keys
     carry the index, the result does not depend on the split.
@@ -512,41 +508,33 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
     w, h = level
     maps = [np.full(w * h, _NO_POINT) for _ in range(parts)]
     if n == 0:
-        return maps[0], 0
+        return maps[0]
     bounds = [n * i // parts for i in range(parts + 1)]
-    skipped = sum(_run_parts(_scatter_keys, [
+    _run_parts(_scatter_keys, [
         (positions, index, bounds[i], bounds[i + 1], rec_pos, level, maps[i], bufs)
-        for i, bufs in enumerate(_part_scratch(parts))]))
+        for i, bufs in enumerate(_part_scratch(parts))])
     keys = maps[0]
     for other in maps[1:]:
         np.minimum(keys, other, out=keys)
-    return keys, skipped
+    return keys
 
 
 def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
-                     levels: list[tuple[int, int]],
-                     stats: dict | None = None) -> list[EnvMapLayer]:
+                     levels: list[tuple[int, int]]) -> list[EnvMapLayer]:
     """Project one point cloud at every resolution level, keeping the
     closest point to rec_pos per pixel; exact distance ties go to the
     point with the lower index. Every level must tile the first: its
     pixels are r x r blocks of the first level's, for an integer r.
 
-    Points coincident with rec_pos have no direction and are skipped;
-    their count is reported through `stats["skipped_zero_distance"]`.
+    Points coincident with rec_pos have no direction and are skipped.
     Large clouds are projected in parts on several threads; the result
     does not depend on the split.
     """
     ratios = _level_ratios(levels)
     if len(cloud) == 0:
-        if stats is not None:
-            stats["skipped_zero_distance"] = 0
         return [EnvMapLayer.empty(w, h) for w, h in levels]
     rec_pos = np.asarray(rec_pos, dtype=np.float32).reshape(3)
-    finest, skipped = _project_keys(cloud.positions, rec_pos, levels[0])
-    if skipped:
-        log.debug("project_multires: skipped %d zero-distance points", skipped)
-    if stats is not None:
-        stats["skipped_zero_distance"] = skipped
+    finest = _project_keys(cloud.positions, rec_pos, levels[0])
     sources = [(0, cloud.colors)]
     return [_layer(finest if r == 1 else _block_min(finest, w, h, r), w, h, sources)
             for (w, h), r in zip(levels, ratios)]

@@ -54,9 +54,6 @@ class YCbCr420Image:
         self.cb = np.asarray(self.cb, dtype=np.uint8).reshape(half)
         self.cr = np.asarray(self.cr, dtype=np.uint8).reshape(half)
 
-    def num_bytes(self) -> int:
-        return self.width * self.height * 3 // 2
-
     def __eq__(self, other):
         return (isinstance(other, YCbCr420Image)
                 and (self.width, self.height) == (other.width, other.height)

@@ -5,7 +5,8 @@ packet. Every inbound keyframe (including session init) is answered with
 exactly one EnvMapResponse frame; malformed input is answered with an
 error frame (kind 0xFF) and the connection stays open. When ICP is
 enabled, an additional unsolicited EnvMapResponse may follow a near
-keyframe's primary response once registration completes.
+keyframe's primary response once registration completes; registration
+starts only after the primary response is written.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import protocol, session as session_mod
 from .errors import LitFieldError, ProtocolError
-from .nearfield import IcpConfig, register_icp
+from .nearfield import register_icp
 from .session import EnvironmentMap, Preset, ReconstructionSession, preset_config
 
 log = logging.getLogger(__name__)
@@ -77,7 +78,6 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral
     max_connections: int = 32  # more get one error frame and are closed
     icp_enabled: bool = False
-    icp_config: IcpConfig = field(default_factory=IcpConfig)
     default_preset: Preset = Preset.HIGH
 
 
@@ -89,6 +89,9 @@ class _ConnectionState:
         self.sessions: dict[int, ReconstructionSession] = {}
         self.send_lock = threading.Lock()
         self.icp_threads: list[threading.Thread] = []
+        # the registration of the frame being answered, started once its
+        # reply is written
+        self.pending_icp: threading.Thread | None = None
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -116,6 +119,10 @@ class _Handler(socketserver.BaseRequestHandler):
                     reply = protocol.ErrorPacket(f"internal error: {e}")
                 if not self._send(state, reply):
                     break
+                if state.pending_icp is not None:
+                    state.icp_threads.append(state.pending_icp)
+                    state.pending_icp.start()
+                    state.pending_icp = None
             for t in state.icp_threads:
                 t.join(timeout=1.0)
         finally:
@@ -164,21 +171,22 @@ class _Handler(socketserver.BaseRequestHandler):
                 source = sess.buffer.get_view(packet.view_id)
                 reply = _map_response(sess)
             if icp and source is not None and len(prior) >= 3:
-                self._schedule_icp(state, sess, packet.view_id, source, prior)
+                state.pending_icp = self._registration(state, sess, packet.view_id,
+                                                       source, prior)
             return reply
         return protocol.ErrorPacket(
             f"unexpected packet type {type(packet).__name__}")
 
-    def _schedule_icp(self, state: _ConnectionState, sess: ReconstructionSession,
-                      view_id: int, source, reference) -> None:
-        """Register the cloud source of view view_id against reference on
-        a worker thread, then apply it and send the updated map, unless
-        the view has received another cloud meanwhile."""
-        cfg: ServerConfig = self.server.cfg
+    def _registration(self, state: _ConnectionState, sess: ReconstructionSession,
+                      view_id: int, source, reference) -> threading.Thread:
+        """A worker thread, not yet started, that registers the cloud
+        source of view view_id against reference, then applies it and
+        sends the updated map, unless the view has received another cloud
+        meanwhile."""
 
         def worker():
             try:
-                result = register_icp(source, reference, cfg.icp_config)
+                result = register_icp(source, reference)
             except LitFieldError as e:
                 log.debug("registration skipped for view %d: %s", view_id, e)
                 return
@@ -189,9 +197,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 reply = _map_response(sess)
             self._send(state, reply)
 
-        t = threading.Thread(target=worker, daemon=True)
-        state.icp_threads.append(t)
-        t.start()
+        return threading.Thread(target=worker, daemon=True)
 
 
 def _map_response(sess: ReconstructionSession) -> protocol.EnvMapResponse:

@@ -17,7 +17,7 @@ from . import farfield, nearfield
 from .errors import ConfigurationError, InvalidDepthError
 from .farfield import UnitSphereAnchorSet
 from .geometry import CameraFrame, Pose
-from .nearfield import DensePointCloudBuffer, EnvMapLayer, NearFieldBoundary
+from .nearfield import DensePointCloudBuffer, EnvMapLayer
 
 FAR_CAPTURE_RES = (32, 24)
 
@@ -89,11 +89,11 @@ _PRESETS = {
 }
 
 
-def preset_config(preset: Preset, **overrides) -> SessionConfig:
+def preset_config(preset: Preset) -> SessionConfig:
     """Session configuration for one of the three named presets."""
     if preset not in _PRESETS:
         raise ConfigurationError(f"no preset table entry for {preset}")
-    return SessionConfig(**(_PRESETS[preset] | overrides))
+    return SessionConfig(**_PRESETS[preset])
 
 
 @dataclass
@@ -137,7 +137,8 @@ class ReconstructionSession:
             raise ConfigurationError("ambient must be finite and in [0, 1]")
 
         cw, ch = config.near_capture_res
-        self.buffer = DensePointCloudBuffer(config.num_views, cw * ch)
+        self.buffer = DensePointCloudBuffer(config.num_views, self.rec_pos,
+                                            list(config.multires_levels), cw * ch)
         self.anchors = UnitSphereAnchorSet.create()
         farfield.fill_unobserved(self.anchors, self.ambient)
         self._table = _extrapolation_table(config.envmap_res, self.anchors)
@@ -223,10 +224,8 @@ class ReconstructionSession:
         after asynchronous registration updates the buffered points).
         Only views whose points changed since the last call are
         projected again."""
-        boundary = NearFieldBoundary(self.rec_pos)
-        merged = self.buffer.project(self.rec_pos, boundary,
-                                     list(self.config.multires_levels))
-        self.near_map = nearfield.resample_nearest(merged, *self.config.envmap_res)
+        self.near_map = nearfield.resample_nearest(self.buffer.project(),
+                                                   *self.config.envmap_res)
         return self.near_map
 
     def apply_registration(self, view_id: int, correction: Pose,

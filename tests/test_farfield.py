@@ -102,7 +102,8 @@ class TestSparseDirections:
     def test_rejects_high_resolution(self):
         big = ColorImage(80, 60, np.zeros((60, 80, 3)))
         with pytest.raises(ValueError):
-            sparse_directions(big, K32.scaled(80, 60), Pose.identity())
+            sparse_directions(big, Intrinsics(65.0, 65.0, 40.0, 30.0, 80, 60),
+                              Pose.identity())
 
 
 # ── splat_to_anchors ─────────────────────────────────────────────────────
@@ -200,11 +201,36 @@ class TestPrecomputeTable:
                 if j not in stored:
                     assert all_cos[p, j] <= kth + 1e-6
 
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("k", [1, 4, "n"])
+    def test_small_inputs_match_brute_force_top_k(self, n, k):
+        # Small maps and k >= N/4 take the same cell-grid path as serving
+        # maps. Against a float64 brute force, every stored anchor is
+        # distinct and no left-out anchor beats the k-th stored one (ties
+        # at the k-th may go either way; at k = 1 the one stored anchor is
+        # the max-cosine one), and the stored cosines are the anchors'
+        # clamped cosines, in descending order.
+        k = n if k == "n" else k
+        a = _gray_anchors(n)
+        table = precompute_table(32, 16, a, k=k)
+        normals = equirect_pixel_dirs(32, 16).reshape(-1, 3)
+        cos = normals @ a.directions.T
+        kth = -np.sort(-cos, axis=1)[:, k - 1]
+        assert table.indices.shape == (len(normals), k)
+        for p, row in enumerate(table.indices):
+            assert len(set(row)) == k
+            assert np.all(cos[p, row] >= kth[p] - 1e-6)
+        stored = np.take_along_axis(cos, table.indices.astype(np.intp), axis=1)
+        assert np.allclose(table.cosines, np.maximum(stored, 0.0), atol=1e-6)
+        assert np.all(np.diff(table.cosines, axis=1) <= 1e-6)
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             precompute_table(33, 16, _gray_anchors(16), k=4)
         with pytest.raises(ValueError):
             precompute_table(32, 16, _gray_anchors(16), k=17)
+        with pytest.raises(ValueError):
+            precompute_table(32, 16, _gray_anchors(16), k=0)
 
 
 # ── extrapolate ──────────────────────────────────────────────────────────

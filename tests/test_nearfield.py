@@ -99,18 +99,22 @@ class TestGenerateDenseCloud:
 
 # ── DensePointCloudBuffer ────────────────────────────────────────────────
 
+def _buffer(num_views, slot_capacity=None):
+    return DensePointCloudBuffer(num_views, np.zeros(3), [(8, 4)], slot_capacity)
+
+
 class TestBuffer:
     def _one_point(self, x=0.0):
         return _cloud([[x, 0, 0]])
 
     def test_evicts_oldest(self):
-        buf = DensePointCloudBuffer(num_views=3)
+        buf = _buffer(3)
         for vid in (1, 2, 3, 4):
             buf.insert_view(vid, self._one_point(vid))
         assert sorted(buf.view_ids()) == [2, 3, 4]
 
     def test_same_id_overwrites_and_refreshes(self):
-        buf = DensePointCloudBuffer(num_views=3)
+        buf = _buffer(3)
         for vid in (1, 2, 1):
             buf.insert_view(vid, self._one_point(vid))
         assert sorted(buf.view_ids()) == [1, 2]
@@ -120,29 +124,33 @@ class TestBuffer:
         assert sorted(buf.view_ids()) == [1, 3, 4]
 
     def test_capacity_one(self):
-        buf = DensePointCloudBuffer(num_views=1)
+        buf = _buffer(1)
         buf.insert_view(7, self._one_point())
         buf.insert_view(8, self._one_point())
         assert buf.view_ids() == [8]
 
     def test_slot_capacity_enforced(self):
-        buf = DensePointCloudBuffer(num_views=2, slot_capacity=2)
+        buf = _buffer(2, slot_capacity=2)
         buf.insert_view(0, _cloud([[0, 0, 0], [1, 0, 0]]))
         with pytest.raises(PointCapacityError):
             buf.insert_view(1, _cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
         assert buf.view_ids() == [0]
 
     def test_rejects_empty_view(self):
-        buf = DensePointCloudBuffer(num_views=1)
+        buf = _buffer(1)
         with pytest.raises(ValueError):
             buf.insert_view(0, PointCloud.empty())
+
+    def test_rejects_a_level_set_that_does_not_tile(self):
+        with pytest.raises(ValueError, match="does not tile"):
+            DensePointCloudBuffer(1, np.zeros(3), [(96, 48), (40, 20)])
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=24))
     @settings(max_examples=200, deadline=None)
     def test_eviction_order_matches_model(self, ids):
         """Reference model: dict preserving insertion order, re-insert
         moves to newest, overflow drops the oldest."""
-        buf = DensePointCloudBuffer(num_views=3)
+        buf = _buffer(3)
         model: dict[int, None] = {}
         for vid in ids:
             buf.insert_view(vid, self._one_point())
@@ -154,7 +162,7 @@ class TestBuffer:
         assert sorted(buf.view_ids()) == sorted(model)
 
     def test_replace_view_keeps_recency(self):
-        buf = DensePointCloudBuffer(num_views=3)
+        buf = _buffer(3)
         for vid in (1, 2, 3):
             buf.insert_view(vid, self._one_point(vid))
         old = buf.get_view(1)
@@ -166,7 +174,7 @@ class TestBuffer:
         assert sorted(buf.view_ids()) == [2, 3, 4]
 
     def test_replace_view_of_a_replaced_cloud_is_dropped(self):
-        buf = DensePointCloudBuffer(num_views=3)
+        buf = _buffer(3)
         buf.insert_view(1, self._one_point(1.0))
         old = buf.get_view(1)
         newer = self._one_point(2.0)
@@ -179,17 +187,6 @@ class TestBuffer:
         rng = np.random.default_rng(seed)
         return [PointCloud(rng.uniform(-0.9, 0.9, (n, 3)), rng.random((n, 3)))
                 for _ in range(count)]
-
-    def test_project_follows_a_changed_projection(self):
-        buf = DensePointCloudBuffer(num_views=3)
-        for vid, cloud in enumerate(self._views(3, n=2000)):
-            buf.insert_view(vid, cloud)
-        levels = [(32, 16), (16, 8)]
-        for rec in (np.zeros(3), np.array([0.5, 0.0, 0.0])):
-            b = NearFieldBoundary(rec, side=1.5)
-            got = buf.project(rec, b, levels)
-            want = project_multires(filter_boundary(buf.all_points(), b), rec, levels)
-            _assert_same_layers([got], [merge_multires(want, levels[0])])
 
     def test_equal_distance_across_levels_goes_to_the_finer_level(self):
         # Two points at exactly the same float32 distance (dyadic
@@ -206,9 +203,9 @@ class TestBuffer:
                for i in range(2)]
         assert own[0] != own[1]
         assert own[0][0] // 2 == own[1][0] // 2 and own[0][1] // 2 == own[1][1] // 2
-        buf = DensePointCloudBuffer(num_views=1)
+        buf = DensePointCloudBuffer(1, rec, levels)
         buf.insert_view(0, cloud)
-        got = buf.project(rec, NearFieldBoundary(rec), levels)
+        got = buf.project()
         want = merge_multires(project_multires(cloud, rec, levels), levels[0])
         _assert_same_layers([got], [want])
         for i, pixel in enumerate(own):
@@ -217,13 +214,12 @@ class TestBuffer:
     def test_project_over_key_capacity_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(nearfield, "_MAX_POINTS", 150)
         first, second = self._views(2)
-        buf = DensePointCloudBuffer(num_views=3)
-        b = NearFieldBoundary(np.zeros(3))
+        buf = _buffer(3)
         buf.insert_view(0, first)
-        buf.project(np.zeros(3), b, [(8, 4)])
+        buf.project()
         buf.insert_view(1, second)
         with pytest.raises(PointCapacityError):
-            buf.project(np.zeros(3), b, [(8, 4)])
+            buf.project()
         with pytest.raises(PointCapacityError):
             project_multires(buf.all_points(), np.zeros(3), [(8, 4)])
 
@@ -308,12 +304,11 @@ class TestProjectMultires:
             assert not layer.valid.any()
             assert np.all(np.isinf(layer.distance))
 
-    def test_zero_distance_skipped_with_counter(self):
-        cloud = _cloud([[0, 0, 0], [0, 0, -1.0]])
-        stats = {}
-        layer = project_multires(cloud, np.zeros(3), [(8, 4)], stats=stats)[0]
-        assert stats["skipped_zero_distance"] == 1
+    def test_zero_distance_point_scatters_nothing(self):
+        cloud = _cloud([[0, 0, 0], [0, 0, -1.0]], [[1, 0, 0], [0, 1, 0]])
+        layer = project_multires(cloud, np.zeros(3), [(8, 4)])[0]
         assert layer.valid.sum() == 1
+        assert np.array_equal(layer.color[2, 4], [0, 1, 0])
 
     def test_levels_validation(self):
         cloud = _cloud([[0, 0, -1.0]])

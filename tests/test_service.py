@@ -345,6 +345,39 @@ class TestIcpUpdates:
             assert update is not None
             assert (update.width, update.height) == (512, 256)
 
+    def test_update_is_written_after_the_primary_reply(self, monkeypatch):
+        # The request thread holds the reply to the second near keyframe,
+        # the first that registers, outside the send lock until the
+        # registration update has been written or 1 s has passed. An
+        # update that could start before its primary reply is written
+        # would get ahead of it.
+        send = service._Handler._send
+        request_thread = []
+        writes = []
+        update_written = threading.Event()
+
+        def held_send(handler, state, packet):
+            if not request_thread:  # the SessionInit reply
+                request_thread.append(threading.get_ident())
+            request = threading.get_ident() == request_thread[0]
+            if request and len(writes) == 2:
+                update_written.wait(1.0)
+            ok = send(handler, state, packet)
+            writes.append("reply" if request else "update")
+            if not request:
+                update_written.set()
+            return ok
+
+        monkeypatch.setattr(service._Handler, "_send", held_send)
+        scene = _room()
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
+            client.send(_near_packet(scene, (0.0, 1.4, 0.4), view_id=1))
+            assert client.poll_update(5.0) is not None
+        assert writes == ["reply", "reply", "reply", "update"]
+
     def test_correction_for_a_replaced_view_is_dropped(self, monkeypatch):
         # Registrations wait until view 1 has been sent twice, so the one
         # computed for its first cloud finds the slot holding the second:

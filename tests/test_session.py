@@ -108,11 +108,6 @@ class TestPresets:
         assert farfield.DEFAULT_EXPONENT == 128
         assert NearFieldBoundary(np.zeros(3)).side == 2.0
 
-    def test_override(self):
-        cfg = preset_config(Preset.LOW, num_views=7)
-        assert cfg.num_views == 7
-        assert cfg.near_capture_res == (256, 192)
-
     def test_custom_has_no_table_entry(self):
         with pytest.raises(ConfigurationError):
             preset_config(Preset.CUSTOM)
