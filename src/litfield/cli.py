@@ -1,5 +1,9 @@
 """Command-line interface: dataset simulation, offline reconstruction,
-the network service, a streaming replay client, and evaluation."""
+the network service, a streaming replay client, and evaluation.
+
+The synthetic harness (and scipy.ndimage, which its metrics need) is
+imported only by the commands that use it, so `serve` starts without it.
+"""
 
 from __future__ import annotations
 
@@ -12,12 +16,9 @@ import numpy as np
 
 from . import protocol, service
 from .capture import plan_guided_movement
-from .geometry import Intrinsics, Pose
-from .harness import dataset as ds
-from .harness import metrics
-from .harness.scene import (default_scene, ground_truth_envmap, load_scene,
-                            look_at, orbit_trajectory, render_rgbd)
-from .session import FAR_CAPTURE_RES, Preset, create_session, preset_config
+from .geometry import Intrinsics
+from .session import (FAR_CAPTURE_RES, EnvironmentMap, Preset, create_session,
+                      preset_config)
 
 DEFAULT_BIND = "127.0.0.1:9876"
 
@@ -76,6 +77,10 @@ def main():
 def simulate(scene_path, preset, views, guided, rec_pos, height, steps, fov,
              out_dir):
     """Render a synthetic dataset: keyframe packets + ground truth."""
+    from .harness import dataset as ds
+    from .harness.scene import (default_scene, ground_truth_envmap, load_scene,
+                                look_at, orbit_trajectory, render_rgbd)
+
     scene = load_scene(scene_path) if scene_path else default_scene()
     guided = int(guided)
     preset_e = _preset(preset)
@@ -133,6 +138,8 @@ _TIMING_ROWS = [
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def reconstruct(data_dir, out_dir):
     """Run the full pipeline offline over a dataset directory."""
+    from .harness import dataset as ds
+
     data = ds.load_dataset(data_dir)
     init = data.init_packet()
     config = preset_config(service.preset_of_byte(init.preset))
@@ -155,12 +162,9 @@ def reconstruct(data_dir, out_dir):
 
     os.makedirs(out_dir, exist_ok=True)
     ds.write_envmap(os.path.join(out_dir, "composed.ppm"), sess.compose())
-    near = sess.near_map
-    far = sess.far_map
-    ds.write_ppm(os.path.join(out_dir, "near.ppm"),
-                 np.floor(np.clip(near.color, 0, 1) * 255 + 0.5).astype(np.uint8))
-    ds.write_ppm(os.path.join(out_dir, "far.ppm"),
-                 np.floor(np.clip(far.color, 0, 1) * 255 + 0.5).astype(np.uint8))
+    for name, layer in (("near.ppm", sess.near_map), ("far.ppm", sess.far_map)):
+        ds.write_envmap(os.path.join(out_dir, name),
+                        EnvironmentMap(layer.width, layer.height, layer.color))
 
     click.echo(f"{'stage':<30}{'total ms':>10}")
     for label, key in _TIMING_ROWS:
@@ -193,6 +197,8 @@ def serve(bind, preset, icp):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def replay(data_dir, bind, out_dir):
     """Stream a dataset to a server and store the returned maps."""
+    from .harness import dataset as ds
+
     data = ds.load_dataset(data_dir)
     os.makedirs(out_dir, exist_ok=True)
     with service.client_connect(_resolve_bind(bind)) as client:
@@ -211,6 +217,9 @@ def replay(data_dir, bind, out_dir):
               help="Directory of reconstructed .ppm maps.")
 def evaluate(data_dir, maps_dir):
     """PSNR/SSIM of reconstructed maps against the ground truth (TSV)."""
+    from .harness import dataset as ds
+    from .harness import metrics
+
     gt = ds.load_dataset(data_dir).ground_truth()
     names = sorted(n for n in os.listdir(maps_dir) if n.endswith(".ppm"))
     if not names:

@@ -193,17 +193,17 @@ class DensePointCloudBuffer:
         return len(self._slots)
 
 
+BOUNDARY_SIDE = 2.0  # meters, edge of every near-field boundary cube
+
+
 @dataclass(frozen=True)
 class NearFieldBoundary:
-    """Axis-aligned cube centered on the reconstruction position limiting
-    which dense points get projected."""
+    """Axis-aligned cube of side BOUNDARY_SIDE centered on the
+    reconstruction position limiting which dense points get projected."""
 
     center: np.ndarray
-    side: float = 2.0
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("boundary side must be positive")
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=np.float64).reshape(3))
 
@@ -248,8 +248,8 @@ def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
 
 def _inside(positions: np.ndarray, b: NearFieldBoundary) -> np.ndarray:
     """Per point, whether it lies inside the cube (Chebyshev distance <=
-    side/2, inclusive)."""
-    half = b.side / 2.0
+    BOUNDARY_SIDE/2, inclusive)."""
+    half = BOUNDARY_SIDE / 2.0
     # One float64 coordinate at a time: the same arithmetic as the max of
     # |positions - center| over the axes, without (n, 3) temporaries.
     d = np.empty(len(positions))
@@ -262,7 +262,8 @@ def _inside(positions: np.ndarray, b: NearFieldBoundary) -> np.ndarray:
 
 
 def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
-    """Keep points inside the cube (Chebyshev distance <= side/2, inclusive).
+    """Keep points inside the cube (Chebyshev distance <= BOUNDARY_SIDE/2,
+    inclusive).
     Returns cloud itself when every point is inside."""
     inside = _inside(cloud.positions, b)
     return cloud if inside.all() else cloud.select(inside)
@@ -274,7 +275,6 @@ def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
 # one buffer set per part of its split in thread-local storage, so the
 # service's handler and registration threads never share them.
 _scratch = threading.local()
-_index_u32 = np.empty(0, dtype=np.uint32)
 
 # Key-map value of a pixel no point landed on. Its upper half is above
 # the bits of every distance, so it is above every point's key, and so is
@@ -325,15 +325,6 @@ def _buf(bufs: dict, name: str, n: int, dtype) -> np.ndarray:
     return arr[:n]
 
 
-def _point_indices(start: int, stop: int) -> np.ndarray:
-    """uint32 indices start..stop-1, sliced from a shared grow-only range."""
-    global _index_u32
-    idx = _index_u32
-    if len(idx) < stop:
-        idx = _index_u32 = np.arange(stop, dtype=np.uint32)
-    return idx[start:stop]
-
-
 def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
                   stop: int, rec_pos: np.ndarray, level: tuple[int, int],
                   best: np.ndarray, bufs: dict) -> None:
@@ -368,7 +359,8 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
 
     # Two little-endian uint32 halves avoid widening and shifting passes.
     halves = _buf(bufs, "key", 2 * n, np.uint32).reshape(n, 2)
-    halves[:, 0] = _point_indices(start, stop) if index is None else index[start:stop]
+    halves[:, 0] = (np.arange(start, stop, dtype=np.uint32) if index is None
+                    else index[start:stop])
     halves[:, 1] = dist.view(np.uint32)
     key = halves.view(np.uint64).reshape(n)
     if float(dist.min()) <= 0.0:
@@ -607,11 +599,9 @@ def merge_multires(layers: list[EnvMapLayer], target: tuple[int, int]) -> EnvMap
     return EnvMapLayer(width, height, color, distance, valid)
 
 
-@dataclass(frozen=True)
-class IcpConfig:
-    max_iterations: int = 50
-    convergence_tol: float = 1e-7   # meters, change in mean residual
-    max_correspondence_dist: float = 0.1  # meters
+ICP_MAX_ITERATIONS = 50
+ICP_CONVERGENCE_TOL = 1e-7  # meters, change in mean residual
+ICP_MAX_CORRESPONDENCE_DIST = 0.1  # meters
 
 
 @dataclass
@@ -640,8 +630,7 @@ def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> Pose:
     return Pose(r, cd - r @ cs)
 
 
-def register_icp(source: PointCloud, reference: PointCloud,
-                 cfg: IcpConfig = IcpConfig()) -> IcpResult:
+def register_icp(source: PointCloud, reference: PointCloud) -> IcpResult:
     """Point-to-point ICP: alternate nearest-neighbor correspondence with a
     closed-form rigid fit until the mean residual stops improving."""
     _check_rank(source.positions, "source")
@@ -650,17 +639,17 @@ def register_icp(source: PointCloud, reference: PointCloud,
     transform = Pose.identity()
     result = IcpResult(transform)
     prev_residual = np.inf
-    for it in range(cfg.max_iterations):
+    for it in range(ICP_MAX_ITERATIONS):
         moved = source.positions @ transform.rotation.T + transform.translation
-        d, idx = tree.query(moved, distance_upper_bound=cfg.max_correspondence_dist)
+        d, idx = tree.query(moved, distance_upper_bound=ICP_MAX_CORRESPONDENCE_DIST)
         matched = np.isfinite(d)
         if not matched.any():
             raise NoOverlapError(
-                f"no correspondences within {cfg.max_correspondence_dist} m")
+                f"no correspondences within {ICP_MAX_CORRESPONDENCE_DIST} m")
         residual = float(d[matched].mean())
         result.residuals.append(residual)
         result.iterations = it + 1
-        if residual == 0.0 or abs(prev_residual - residual) < cfg.convergence_tol:
+        if residual == 0.0 or abs(prev_residual - residual) < ICP_CONVERGENCE_TOL:
             result.converged = True
             break
         prev_residual = residual

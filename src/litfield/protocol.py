@@ -18,7 +18,7 @@ All multi-byte values are little-endian. Packet layouts:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -32,6 +32,25 @@ KIND_ENVMAP_RESPONSE = 0x10
 KIND_ERROR = 0xFF
 
 FAR_KEYFRAME_SIZE = 1 + 4 + 64 + 16 + 4 + (32 * 24 * 3) // 2  # = 1241
+
+
+def _fields_equal(a, b) -> bool:
+    """Equality of two dataclass objects of the same type, field by field:
+    arrays by value, dataclass fields (Pose, Intrinsics, images) by
+    recursion, anything else by ==."""
+    if type(a) is not type(b):
+        return False
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            same = np.array_equal(x, y)
+        elif is_dataclass(x):
+            same = _fields_equal(x, y)
+        else:
+            same = x == y
+        if not same:
+            return False
+    return True
 
 
 # --- YCbCr 4:2:0, full-range BT.601 -----------------------------------------
@@ -54,12 +73,7 @@ class YCbCr420Image:
         self.cb = np.asarray(self.cb, dtype=np.uint8).reshape(half)
         self.cr = np.asarray(self.cr, dtype=np.uint8).reshape(half)
 
-    def __eq__(self, other):
-        return (isinstance(other, YCbCr420Image)
-                and (self.width, self.height) == (other.width, other.height)
-                and np.array_equal(self.y, other.y)
-                and np.array_equal(self.cb, other.cb)
-                and np.array_equal(self.cr, other.cr))
+    __eq__ = _fields_equal
 
 
 def _box2x2(plane: np.ndarray) -> np.ndarray:
@@ -105,15 +119,7 @@ class SessionInit:
     native_res: tuple[int, int]
     ambient: np.ndarray
 
-    def __eq__(self, other):
-        return (isinstance(other, SessionInit)
-                and self.session_id == other.session_id
-                and np.array_equal(self.rec_pos, other.rec_pos)
-                and self.preset == other.preset
-                and self.envmap_res == other.envmap_res
-                and self.intrinsics == other.intrinsics
-                and self.native_res == other.native_res
-                and np.array_equal(self.ambient, other.ambient))
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -126,15 +132,7 @@ class NearKeyframe:
     depth: np.ndarray       # (h, w) float32
     confidence: np.ndarray  # (h, w) uint8
 
-    def __eq__(self, other):
-        return (isinstance(other, NearKeyframe)
-                and self.session_id == other.session_id
-                and self.view_id == other.view_id
-                and np.array_equal(self.pose.matrix(), other.pose.matrix())
-                and self.intrinsics == other.intrinsics
-                and self.color == other.color
-                and np.array_equal(self.depth, other.depth)
-                and np.array_equal(self.confidence, other.confidence))
+    __eq__ = _fields_equal
 
     def to_camera_frame(self) -> CameraFrame:
         k = self.intrinsics
@@ -151,12 +149,7 @@ class FarKeyframe:
     intrinsics: Intrinsics
     color: YCbCr420Image
 
-    def __eq__(self, other):
-        return (isinstance(other, FarKeyframe)
-                and self.session_id == other.session_id
-                and np.array_equal(self.pose.matrix(), other.pose.matrix())
-                and self.intrinsics == other.intrinsics
-                and self.color == other.color)
+    __eq__ = _fields_equal
 
     def to_camera_frame(self) -> CameraFrame:
         return CameraFrame(ycbcr420_to_rgb(self.color), self.intrinsics, self.pose)
@@ -169,11 +162,7 @@ class EnvMapResponse:
     height: int
     rgb: np.ndarray  # (height, width, 3) uint8
 
-    def __eq__(self, other):
-        return (isinstance(other, EnvMapResponse)
-                and self.session_id == other.session_id
-                and (self.width, self.height) == (other.width, other.height)
-                and np.array_equal(self.rgb, other.rgb))
+    __eq__ = _fields_equal
 
 
 @dataclass

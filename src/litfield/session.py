@@ -135,8 +135,13 @@ class ReconstructionSession:
             raise ConfigurationError("rec_pos must be finite")
         if not ((self.ambient >= 0.0) & (self.ambient <= 1.0)).all():
             raise ConfigurationError("ambient must be finite and in [0, 1]")
-
+        # a near frame is native_res and a buffer slot holds one
+        # near_capture_res frame: refuse at init the frames no slot can hold
         cw, ch = config.near_capture_res
+        if native_res[0] * native_res[1] > cw * ch:
+            raise ConfigurationError(
+                f"native_res {native_res[0]}x{native_res[1]} has more pixels than "
+                f"the near capture size {cw}x{ch}")
         self.buffer = DensePointCloudBuffer(config.num_views, self.rec_pos,
                                             list(config.multires_levels), cw * ch)
         self.anchors = UnitSphereAnchorSet.create()

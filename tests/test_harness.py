@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,6 +311,19 @@ class TestCli:
         written = sorted(os.listdir(maps_dir))
         assert "map_init.ppm" in written
         assert sum(n.startswith("map_0") for n in written) == 2  # 1 far + 1 near
+
+    def test_cli_import_leaves_out_the_harness(self):
+        # `litfield serve` should not pay for the synthetic harness or the
+        # scipy.ndimage its metrics import
+        code = ("import sys, litfield.cli; "
+                "print(sorted(m for m in ('litfield.harness', 'scipy.ndimage') "
+                "if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(protocol.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
     def test_bind_env_var(self, monkeypatch):
         from litfield.cli import _resolve_bind

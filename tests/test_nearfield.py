@@ -19,7 +19,7 @@ from litfield.geometry import (ColorImage, DepthImage, Intrinsics, Pose,
 from litfield.nearfield import (
     DensePointCloudBuffer,
     EnvMapLayer,
-    IcpConfig,
+    BOUNDARY_SIDE,
     NearFieldBoundary,
     PointCloud,
     filter_boundary,
@@ -227,12 +227,7 @@ class TestBuffer:
 # ── filter_boundary ──────────────────────────────────────────────────────
 
 class TestFilterBoundary:
-    B = NearFieldBoundary(center=np.zeros(3), side=2.0)
-
-    def test_side_validation(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                NearFieldBoundary(np.zeros(3), bad)
+    B = NearFieldBoundary(center=np.zeros(3))
 
     def test_center_retained(self):
         out = filter_boundary(_cloud([[0, 0, 0]]), self.B)
@@ -259,18 +254,19 @@ class TestFilterBoundary:
         # An off-centre cube whose faces are exact in float32, points on
         # the faces, one float32 step to either side of them, and beyond.
         rng = np.random.default_rng(4)
-        b = NearFieldBoundary(center=np.array([0.25, -1.5, 0.125]), side=1.5)
+        b = NearFieldBoundary(center=np.array([0.25, -1.5, 0.125]))
+        half = BOUNDARY_SIDE / 2.0
         n = 30_000
-        pos = (b.center + rng.uniform(-1.0, 1.0, (n, 3))).astype(np.float32)
+        pos = (b.center + rng.uniform(-1.5, 1.5, (n, 3))).astype(np.float32)
         axis = rng.integers(0, 3, n)
-        face = (b.center[axis] + rng.choice([-0.75, 0.75], n)).astype(np.float32)
+        face = (b.center[axis] + rng.choice([-half, half], n)).astype(np.float32)
         step = rng.integers(-1, 2, n)
         face[step > 0] = np.nextafter(face[step > 0], np.float32(np.inf))
         face[step < 0] = np.nextafter(face[step < 0], np.float32(-np.inf))
         on_face = rng.random(n) < 0.5
         pos[on_face, axis[on_face]] = face[on_face]
         cloud = PointCloud(pos, rng.random((n, 3)))
-        keep = np.max(np.abs(cloud.positions - b.center), axis=1) <= b.side / 2.0
+        keep = np.max(np.abs(cloud.positions - b.center), axis=1) <= half
         assert 0 < keep.sum() < n
         out = filter_boundary(cloud, b)
         assert np.array_equal(out.positions, cloud.positions[keep])
@@ -577,8 +573,12 @@ class TestRegisterIcp:
         res = np.array(result.residuals)
         assert np.all(np.diff(res) <= 1e-12)
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
+        # this pair converges in 4 iterations uncapped
         cloud = _box_cloud(300, seed=3)
-        cfg = IcpConfig(max_iterations=5)
-        result = register_icp(cloud, cloud, cfg)
-        assert result.iterations <= 5
+        true = Pose(_rot_y(4.0), np.array([0.03, 0.01, 0.0]))
+        moved = PointCloud(true.transform(cloud.positions), cloud.colors)
+        monkeypatch.setattr(nearfield, "ICP_MAX_ITERATIONS", 2)
+        result = register_icp(cloud, moved)
+        assert result.iterations == 2
+        assert not result.converged

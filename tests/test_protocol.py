@@ -6,6 +6,8 @@ values that are exactly representable in float32.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import struct
 
@@ -130,6 +132,69 @@ class TestRoundTrip:
     def test_bytes_fixed_point(self, p):
         buf = encode_packet(p)
         assert encode_packet(decode_packet(buf)) == buf
+
+
+# ── equality ─────────────────────────────────────────────────────────────
+
+def _gray(w, h):
+    return YCbCr420Image(w, h, np.full((h, w), 90, np.uint8),
+                         np.full((h // 2, w // 2), 128, np.uint8),
+                         np.full((h // 2, w // 2), 128, np.uint8))
+
+
+def _equality_samples():
+    """One object of each type that defines its equality field by field."""
+    k = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    pose = _f32_pose(0.5, 0.25, (1.0, 2.0, 3.0))
+    return [
+        _gray(8, 6),
+        SessionInit(1, np.array([0.0, 1.5, 0.0]), 2, (512, 256), k, (8, 6),
+                    np.array([0.5, 0.5, 0.5])),
+        NearKeyframe(1, 3, pose, k, _gray(8, 6), np.ones((6, 8), np.float32),
+                     np.full((6, 8), 2, np.uint8)),
+        FarKeyframe(1, pose, Intrinsics(20.0, 15.0, 16.0, 12.0, 32, 24), _gray(32, 24)),
+        EnvMapResponse(1, 8, 4, np.zeros((4, 8, 3), np.uint8)),
+    ]
+
+
+def _one_change(value):
+    """value with one element, one pose entry or one scalar changed."""
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out.flat[len(out.flat) // 2] += 1
+        return out
+    if isinstance(value, Pose):
+        translation = value.translation.copy()
+        translation[1] += 0.5
+        return Pose(value.rotation, translation)
+    if isinstance(value, Intrinsics):
+        return dataclasses.replace(value, cy=value.cy + 0.5)
+    if isinstance(value, YCbCr420Image):
+        return dataclasses.replace(value, cr=_one_change(value.cr))
+    if isinstance(value, tuple):
+        return value[:-1] + (value[-1] + 2,)
+    return value + 1
+
+
+class TestEquality:
+    @pytest.mark.parametrize("obj, name", [
+        (obj, f.name) for obj in _equality_samples() for f in dataclasses.fields(obj)],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_one_changed_field_compares_unequal(self, obj, name):
+        same = copy.deepcopy(obj)
+        assert same == obj
+        changed = copy.copy(obj)
+        setattr(changed, name, _one_change(getattr(obj, name)))
+        assert changed != obj
+        assert obj != changed
+
+    def test_other_types_compare_unequal(self):
+        samples = _equality_samples()
+        for i, a in enumerate(samples):
+            for j, b in enumerate(samples):
+                assert (a == b) == (i == j)
+            assert a != ErrorPacket("x")
+            assert a != None  # noqa: E711
 
 
 class TestSizes:

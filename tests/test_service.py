@@ -176,6 +176,25 @@ class TestErrors:
             env = client.send(_init_packet())
             assert np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
 
+    def test_native_res_over_the_slot_capacity_gets_error_reply(self, server):
+        # LOW captures 256x192; a 2048x1536 session could only ever be fed
+        # frames that its buffer refuses after decoding them
+        low = service.PRESET_TO_BYTE[Preset.LOW]
+        assert _init_packet().preset == low
+        k_big = Intrinsics(fx=1000.0, fy=1000.0, cx=1024.0, cy=768.0,
+                           width=2048, height=1536)
+        bad = protocol.SessionInit(1, REC, low, (512, 256), k_big, (2048, 1536),
+                                   np.array([0.5, 0.5, 0.5]))
+        with client_connect(server.address) as client:
+            with pytest.raises(ProtocolError, match="native_res 2048x1536"):
+                client.send(bad)
+            with pytest.raises(ProtocolError, match="unknown session"):
+                client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
+            env = client.send(_init_packet())
+            assert np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
+            env = client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
+            assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+
     def test_near_frame_of_another_size_than_native_res(self, server):
         # The session was opened for 64x48 frames; a 32x24 near frame fits
         # its slot but is refused, and the session keeps working.

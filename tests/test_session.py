@@ -27,6 +27,7 @@ from litfield.harness.scene import (
 )
 from litfield import nearfield
 from litfield.nearfield import (
+    BOUNDARY_SIDE,
     EnvMapLayer,
     NearFieldBoundary,
     PointCloud,
@@ -106,7 +107,7 @@ class TestPresets:
         assert FAR_CAPTURE_RES == (32, 24)
         assert farfield.DEFAULT_ANCHOR_COUNT == 1280
         assert farfield.DEFAULT_EXPONENT == 128
-        assert NearFieldBoundary(np.zeros(3)).side == 2.0
+        assert BOUNDARY_SIDE == 2.0
 
     def test_custom_has_no_table_entry(self):
         with pytest.raises(ConfigurationError):
@@ -188,6 +189,14 @@ class TestCreateSession:
         with pytest.raises(ConfigurationError):
             create_session(np.array(rec_pos), _small_config(), (64, 48),
                            np.array(ambient))
+
+    def test_native_res_must_fit_a_slot(self):
+        # _small_config captures 64x48 = 3072 pixels per view
+        sess = create_session(np.zeros(3), _small_config(), (48, 64), GRAY)
+        assert sess.native_res == (48, 64)
+        for native_res in ((64, 49), (128, 25), (2048, 1536)):
+            with pytest.raises(ConfigurationError, match="native_res"):
+                create_session(np.zeros(3), _small_config(), native_res, GRAY)
 
     def test_ambient_bounds_inclusive(self):
         for ambient in (np.zeros(3), np.ones(3)):
@@ -417,14 +426,12 @@ class TestIncrementalNearMap:
         shared = REC_EXACT + dirs / np.linalg.norm(dirs, axis=1)[:, None] \
             * rng.uniform(0.05, 0.3, (300, 1))
 
-        side = NearFieldBoundary(REC_EXACT).side
-
         def view():
             """20k points straddling the boundary cube: 50 at the
             reconstruction position, 300 near ones at the same places in
             every view (exact ties across slots, in colors that differ by
             view) and 50 duplicated within the view."""
-            pos = REC_EXACT + rng.uniform(-1.0, 1.0, (20_000, 3)) * side
+            pos = REC_EXACT + rng.uniform(-1.0, 1.0, (20_000, 3)) * BOUNDARY_SIDE
             pos[:50] = REC_EXACT
             pos[50:350] = shared
             pos[350:400] = pos[400:450]
