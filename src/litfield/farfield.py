@@ -145,7 +145,7 @@ def precompute_table(width: int, height: int, anchors: UnitSphereAnchorSet,
     normals = equirect_pixel_dirs(width, height).reshape(-1, 3)
     indices, cosines = _knn_by_cosine(normals, anchors.directions, k)
     np.maximum(cosines, np.float32(0.0), out=cosines)
-    wts = _clamped_pow(cosines, DEFAULT_EXPONENT)  # (P, K) float32, fresh
+    wts = np.power(cosines, np.float32(DEFAULT_EXPONENT))  # (P, K) float32, fresh
     den = wts.sum(axis=1)
     zero = den <= 0.0
     den[zero] = 1.0
@@ -279,22 +279,6 @@ class ExtrapolationMode(enum.Enum):
     NORMALIZED = "normalized"  # cos^w-weighted mean of anchor colors
 
 
-def _clamped_pow(x: np.ndarray, w: float) -> np.ndarray:
-    """x**w for x >= 0, using binary exponentiation for integer w."""
-    if float(w) == int(w) and w >= 1:
-        e = int(w)
-        result = None
-        base = x
-        while e:
-            if e & 1:
-                result = base.copy() if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-    return np.power(x, w)
-
-
 def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
                 w: float = DEFAULT_EXPONENT,
                 mode: ExtrapolationMode = ExtrapolationMode.NORMALIZED,
@@ -359,7 +343,7 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
         for start in range(0, npix, _CHUNK):
             raw = normals[start:start + _CHUNK] @ anchors.directions.T
             cos = np.maximum(raw, 0.0)
-            wts = _clamped_pow(cos, w)
+            wts = np.power(cos, w)
             num = wts @ anchors.colors
             if mode is ExtrapolationMode.LITERAL:
                 out[start:start + _CHUNK] = (2.0 / anchors.count) * num

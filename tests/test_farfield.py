@@ -186,6 +186,15 @@ class TestPrecomputeTable:
         assert np.all(np.diff(table.cosines, axis=1) <= 1e-6)
         assert np.all(table.cosines >= 0.0)
 
+    @pytest.mark.parametrize("res", [(200, 100), (512, 256)])
+    def test_weights_match_float64_cosine_power(self, res):
+        # The operator's float32 weights against cos^w of the stored
+        # cosines, normalized in float64 (no row falls back at these sizes)
+        table = precompute_table(*res, UnitSphereAnchorSet.create())
+        wts = table.cosines.astype(np.float64) ** farfield.DEFAULT_EXPONENT
+        wts /= wts.sum(axis=1, keepdims=True)
+        assert np.abs(table.operator.data - wts.reshape(-1)).max() <= 1e-7
+
     def test_excluded_anchors_never_beat_kth_cosine(self):
         # Brute-force check on a small map: every anchor left out of the
         # table has clamped cosine <= the K-th stored one.
