@@ -263,8 +263,7 @@ def _inside(positions: np.ndarray, b: NearFieldBoundary) -> np.ndarray:
 
 def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
     """Keep points inside the cube (Chebyshev distance <= BOUNDARY_SIDE/2,
-    inclusive).
-    Returns cloud itself when every point is inside."""
+    inclusive). Returns cloud itself when every point is inside."""
     inside = _inside(cloud.positions, b)
     return cloud if inside.all() else cloud.select(inside)
 

@@ -35,9 +35,9 @@ FAR_KEYFRAME_SIZE = 1 + 4 + 64 + 16 + 4 + (32 * 24 * 3) // 2  # = 1241
 
 
 def _fields_equal(a, b) -> bool:
-    """Equality of two dataclass objects of the same type, field by field:
-    arrays by value, dataclass fields (Pose, Intrinsics, images) by
-    recursion, anything else by ==."""
+    """Whether a and b have the same type and equal fields: arrays by
+    value, dataclass fields (Pose, Intrinsics, images) by recursion,
+    anything else by ==."""
     if type(a) is not type(b):
         return False
     for f in fields(a):

@@ -17,9 +17,9 @@ from litfield.errors import DegenerateGeometryError, NoOverlapError, PointCapaci
 from litfield.geometry import (ColorImage, DepthImage, Intrinsics, Pose,
                                equirect_pixel_dirs, unproject)
 from litfield.nearfield import (
+    BOUNDARY_SIDE,
     DensePointCloudBuffer,
     EnvMapLayer,
-    BOUNDARY_SIDE,
     NearFieldBoundary,
     PointCloud,
     filter_boundary,
