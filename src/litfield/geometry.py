@@ -140,10 +140,10 @@ class ColorImage:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.shape != (self.height, self.width, 3):
             raise ValueError("pixel array shape does not match dimensions")
-        if not np.all(np.isfinite(self.pixels)):
-            raise ValueError("pixel values must be finite")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
+        # min and max propagate NaN, so these two reductions also reject
+        # every non-finite value
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
+            raise ValueError("pixel values must be finite and lie in [0, 1]")
 
 
 @dataclass
@@ -153,19 +153,23 @@ class DepthImage:
 
     width: int
     height: int
-    depth: np.ndarray       # (height, width) float, meters
+    depth: np.ndarray       # (height, width) float32 or float64, meters
     confidence: np.ndarray  # (height, width) uint8 in {0, 1, 2}
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        # A float32 depth stays float32: it promotes to float64 exactly
+        # wherever it meets float64 arithmetic.
+        depth = np.asarray(self.depth)
+        self.depth = depth.astype(np.result_type(depth, np.float32), copy=False)
         self.confidence = np.asarray(self.confidence, dtype=np.uint8)
         if self.depth.shape != (self.height, self.width):
             raise ValueError("depth shape does not match dimensions")
         if self.confidence.shape != (self.height, self.width):
             raise ValueError("confidence shape does not match dimensions")
-        if not np.all(np.isfinite(self.depth)) or self.depth.min() < 0:
+        # min propagates NaN and -inf fails >= 0; only +inf is left to the max
+        if not (self.depth.min() >= 0 and np.isfinite(self.depth.max())):
             raise ValueError("depth values must be finite and >= 0")
-        if (self.confidence > 2).any():
+        if self.confidence.max() > 2:
             raise ValueError("confidence values must be 0, 1 or 2")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
-from .geometry import ColorImage, DepthImage, Intrinsics, Pose, camera_ray
+from .geometry import ColorImage, DepthImage, Intrinsics, Pose
 
 
 @dataclass
@@ -228,22 +228,44 @@ class EnvMapLayer:
                            np.zeros((height, width), dtype=bool))
 
 
+# Pixels per band of generate_dense_cloud: a band's float64 points and
+# their rotation (384 KB each) stay in cache between the passes over them.
+_BAND_PIXELS = 1 << 14
+
+
 def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
                          pose: Pose, min_confidence: int = 2) -> PointCloud:
     """Unproject every pixel with confidence >= min_confidence and depth > 0
-    into world space. Output order is row-major over kept pixels."""
+    into world space. Output order is row-major over kept pixels. When
+    every pixel is kept, the cloud's colors share color.pixels."""
     if (color.width, color.height) != (depth.width, depth.height):
         raise ValueError("color and depth dimensions must match")
     if min_confidence not in (0, 1, 2):
         raise ValueError("min_confidence must be in {0, 1, 2}")
-    keep = (depth.confidence >= min_confidence) & (depth.depth > 0)
-    if not keep.any():
-        return PointCloud.empty()
-    v, u = np.nonzero(keep)
-    rays = camera_ray(u, v, k)
-    d = depth.depth[keep][:, None]
-    positions = (d * rays) @ pose.rotation.T + pose.translation
-    return PointCloud(positions, color.pixels[keep])
+    # d * camera_ray, rotated and translated in float64 over the whole
+    # grid, a band of rows at a time. Each point gets the bits of its own
+    # pixel's unprojection: float32 depth promotes exactly, and the matmul
+    # rounds a row alike in any band (a column-by-column sum would not).
+    d = depth.depth
+    h, w = d.shape
+    x = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
+    y = -(np.arange(h, dtype=np.float64) - k.cy) / k.fy
+    rows = min(h, max(1, _BAND_PIXELS // w))
+    points = np.empty((rows, w, 3))
+    positions = np.empty((h * w, 3), dtype=np.float32)
+    for top in range(0, h, rows):
+        band_d = d[top:top + rows]
+        band = points[:len(band_d)]
+        np.multiply(band_d, x, out=band[..., 0])
+        np.multiply(band_d, y[top:top + rows, None], out=band[..., 1])
+        np.negative(band_d, out=band[..., 2])
+        rotated = band.reshape(-1, 3) @ pose.rotation.T
+        out = positions[top * w:top * w + len(rotated)]
+        for axis in range(3):
+            np.add(rotated[:, axis], pose.translation[axis], out=out[:, axis])
+    cloud = PointCloud(positions, color.pixels.reshape(-1, 3))
+    keep = (depth.confidence >= min_confidence) & (d > 0)
+    return cloud if keep.all() else cloud.select(keep.ravel())
 
 
 def _inside(positions: np.ndarray, b: NearFieldBoundary) -> np.ndarray:

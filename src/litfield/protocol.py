@@ -96,15 +96,35 @@ def rgb_to_ycbcr420(img: ColorImage) -> YCbCr420Image:
     return YCbCr420Image(img.width, img.height, q(y), q(_box2x2(cb)), q(_box2x2(cr)))
 
 
+# Full-range BT.601 by per-byte tables: R and B indexed by y << 8 | chroma,
+# G's two chroma terms by chroma. Each entry is the float64 formula's
+# value, computed in the same order, so the decode equals the formula bit
+# for bit (the tests check all 2^24 (y, cb, cr) triples).
+_LEVELS = np.arange(256, dtype=np.float64)
+_CHROMA = _LEVELS - 128.0
+_R_TABLE = (np.clip(_LEVELS[:, None] + 1.402 * _CHROMA, 0.0, 255.0) / 255.0).ravel()
+_B_TABLE = (np.clip(_LEVELS[:, None] + 1.772 * _CHROMA, 0.0, 255.0) / 255.0).ravel()
+_G_CB = 0.344136 * _CHROMA
+_G_CR = 0.714136 * _CHROMA
+
+
 def ycbcr420_to_rgb(img: YCbCr420Image) -> ColorImage:
-    y = img.y.astype(np.float64)
-    cb = np.repeat(np.repeat(img.cb.astype(np.float64), 2, 0), 2, 1) - 128.0
-    cr = np.repeat(np.repeat(img.cr.astype(np.float64), 2, 0), 2, 1) - 128.0
-    r = y + 1.402 * cr
-    g = y - 0.344136 * cb - 0.714136 * cr
-    b = y + 1.772 * cb
-    rgb = np.clip(np.stack([r, g, b], axis=-1), 0.0, 255.0) / 255.0
-    return ColorImage(img.width, img.height, rgb)
+    h, w = img.height, img.width
+    rgb = np.empty((h, w, 3))
+    # Rows in pairs, so one row of column-doubled chroma broadcasts over
+    # the two image rows it covers.
+    pairs = rgb.reshape(h // 2, 2, w, 3)
+    y = img.y.reshape(h // 2, 2, w)
+    cb = np.repeat(img.cb, 2, axis=1)[:, None, :]
+    cr = np.repeat(img.cr, 2, axis=1)[:, None, :]
+    y_hi = y.astype(np.uint16) << 8
+    pairs[..., 0] = _R_TABLE[y_hi | cr]
+    pairs[..., 2] = _B_TABLE[y_hi | cb]
+    g = y - _G_CB[cb]
+    g -= _G_CR[cr]
+    np.clip(g, 0.0, 255.0, out=g)
+    np.divide(g, 255.0, out=pairs[..., 1])
+    return ColorImage(w, h, rgb)
 
 
 # --- packets -----------------------------------------------------------------
@@ -136,8 +156,7 @@ class NearKeyframe:
 
     def to_camera_frame(self) -> CameraFrame:
         k = self.intrinsics
-        depth = DepthImage(k.width, k.height, self.depth.astype(np.float64),
-                           self.confidence)
+        depth = DepthImage(k.width, k.height, self.depth, self.confidence)
         return CameraFrame(ycbcr420_to_rgb(self.color), k, self.pose,
                            depth, view_id=self.view_id)
 

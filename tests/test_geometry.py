@@ -233,6 +233,39 @@ class TestImages:
         with pytest.raises(ValueError, match="confidence"):
             DepthImage(4, 4, np.ones((4, 4)), conf)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1.5])
+    @pytest.mark.parametrize("pixel", [(0, 0, 0), (-1, -1, -1)])
+    def test_color_image_rejects_non_finite_and_above_one(self, value, pixel):
+        px = np.full((4, 6, 3), 0.5)
+        px[pixel] = value
+        with pytest.raises(ValueError, match="pixel values"):
+            ColorImage(6, 4, px)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("pixel", [(0, 0), (-1, -1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depth_image_rejects_non_finite_and_negative(self, value, pixel,
+                                                         dtype):
+        d = np.ones((4, 6), dtype)
+        d[pixel] = value
+        with pytest.raises(ValueError, match="depth values must be finite"):
+            DepthImage(6, 4, d, np.full((4, 6), 2, np.uint8))
+
+    @pytest.mark.parametrize("value", [3, 255])
+    @pytest.mark.parametrize("pixel", [(0, 0), (-1, -1)])
+    def test_depth_image_rejects_confidence_above_two(self, value, pixel):
+        conf = np.full((4, 6), 2, np.uint8)
+        conf[pixel] = value
+        with pytest.raises(ValueError, match="confidence"):
+            DepthImage(6, 4, np.ones((4, 6)), conf)
+
+    def test_depth_image_keeps_float32_depth(self):
+        d = np.ones((4, 6), np.float32)
+        depth = DepthImage(6, 4, d, np.full((4, 6), 2, np.uint8))
+        assert depth.depth is d
+        assert DepthImage(6, 4, np.ones((4, 6), int),
+                          np.full((4, 6), 2, np.uint8)).depth.dtype == np.float64
+
     def test_camera_frame_holds_parts(self):
         color = ColorImage(8, 4, np.zeros((4, 8, 3)))
         depth = DepthImage(8, 4, np.ones((4, 8)), np.full((4, 8), 2, np.uint8))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from litfield import nearfield
 from litfield.errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
 from litfield.geometry import (ColorImage, DepthImage, Intrinsics, Pose,
-                               equirect_pixel_dirs, unproject)
+                               camera_ray, equirect_pixel_dirs, unproject)
 from litfield.nearfield import (
     BOUNDARY_SIDE,
     DensePointCloudBuffer,
@@ -95,6 +95,77 @@ class TestGenerateDenseCloud:
             with pytest.raises(ValueError):
                 generate_dense_cloud(color, depth, K2, Pose.identity(),
                                      min_confidence=bad)
+
+
+def _ray_cloud(color, depth, k, pose, min_confidence):
+    """The per-kept-pixel unprojection: rays of the kept pixels only, the
+    depth in float64, colors gathered by the keep mask. The reference for
+    generate_dense_cloud's full-grid pass."""
+    keep = (depth.confidence >= min_confidence) & (depth.depth > 0)
+    if not keep.any():
+        return PointCloud.empty()
+    v, u = np.nonzero(keep)
+    rays = camera_ray(u, v, k)
+    d = depth.depth.astype(np.float64)[keep][:, None]
+    positions = (d * rays) @ pose.rotation.T + pose.translation
+    return PointCloud(positions, color.pixels[keep])
+
+
+class TestDenseCloudMatchesRays:
+    # 102-row bands: one full band and a partial one
+    W, H = 160, 120
+    K = Intrinsics(fx=151.7, fy=149.2, cx=61.3, cy=77.9, width=W, height=H)
+
+    def _frame(self, kind, dtype):
+        rng = np.random.default_rng(23)
+        color = ColorImage(self.W, self.H, rng.random((self.H, self.W, 3)))
+        d = rng.uniform(0.05, 4.0, (self.H, self.W)).astype(dtype)
+        conf = np.full((self.H, self.W), 2, np.uint8)
+        if kind == "mixed":
+            d[rng.random(d.shape) < 0.1] = 0.0
+            conf = rng.integers(0, 3, d.shape).astype(np.uint8)
+        elif kind == "none":
+            d[::2] = 0.0
+            conf[1::2] = 0
+        return color, DepthImage(self.W, self.H, d, conf)
+
+    @pytest.mark.parametrize("kind", ["all", "mixed", "none"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("min_confidence", [0, 1, 2])
+    def test_bit_equal_to_per_pixel_rays(self, kind, dtype, min_confidence):
+        color, depth = self._frame(kind, dtype)
+        assert depth.depth.dtype == dtype
+        r = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+        pose = Pose(r * np.sign(np.linalg.det(r)), np.array([0.7, -1.3, 2.1]))
+        got = generate_dense_cloud(color, depth, self.K, pose, min_confidence)
+        want = _ray_cloud(color, depth, self.K, pose, min_confidence)
+        if kind == "none" and min_confidence > 0:
+            assert len(want) == 0
+        assert got.positions.dtype == want.positions.dtype == np.float32
+        assert got.colors.dtype == want.colors.dtype == np.float64
+        assert got.positions.shape == want.positions.shape
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.colors.tobytes() == want.colors.tobytes()
+
+    def test_row_bands_match_one_matmul_at_full_size(self):
+        # 1024 x 768 unprojects in 48 bands of 16 rows; the reference
+        # transforms all 786432 points in one matmul.
+        w, h = 1024, 768
+        rng = np.random.default_rng(29)
+        k = Intrinsics(fx=886.8, fy=886.8, cx=511.3, cy=383.9, width=w, height=h)
+        color = ColorImage(w, h, rng.random((h, w, 3)))
+        depth = DepthImage(w, h, rng.uniform(0.05, 4.0, (h, w)).astype(np.float32),
+                           np.full((h, w), 2, np.uint8))
+        pose = Pose(_rot_y(37.0), np.array([0.2, 1.1, -0.4]))
+        got = generate_dense_cloud(color, depth, k, pose)
+        want = _ray_cloud(color, depth, k, pose, 2)
+        assert got.positions.tobytes() == want.positions.tobytes()
+
+    def test_colors_share_the_image_when_every_pixel_is_kept(self):
+        color, depth = self._frame("all", np.float32)
+        cloud = generate_dense_cloud(color, depth, self.K, Pose.identity())
+        assert len(cloud) == self.W * self.H
+        assert np.shares_memory(cloud.colors, color.pixels)
 
 
 # ── DensePointCloudBuffer ────────────────────────────────────────────────

@@ -274,7 +274,38 @@ class TestMalformed:
 
 # ── YCbCr 4:2:0 ──────────────────────────────────────────────────────────
 
+def _formula_rgb(img: YCbCr420Image) -> np.ndarray:
+    """The BT.601 decode evaluated per pixel in float64, the reference
+    for the table-driven ycbcr420_to_rgb."""
+    y = img.y.astype(np.float64)
+    cb = np.repeat(np.repeat(img.cb.astype(np.float64), 2, 0), 2, 1) - 128.0
+    cr = np.repeat(np.repeat(img.cr.astype(np.float64), 2, 0), 2, 1) - 128.0
+    r = y + 1.402 * cr
+    g = y - 0.344136 * cb - 0.714136 * cr
+    b = y + 1.772 * cb
+    return np.clip(np.stack([r, g, b], axis=-1), 0.0, 255.0) / 255.0
+
+
 class TestYCbCr:
+    def test_every_triple_decodes_as_the_formula(self):
+        # One 256x256 image per cb value. Chroma sample (i, j) has
+        # cr = 2i + j // 64, so each cr value owns 64 samples, the 2x2
+        # blocks of image rows 2i and 2i + 1; their y values are 0..255.
+        cr = np.repeat(np.arange(256, dtype=np.uint8), 64).reshape(128, 128)
+        y = (np.arange(256)[None, :] % 128 + 128 * (np.arange(256)[:, None] % 2))
+        y = y.astype(np.uint8)
+        cr_full = np.repeat(np.repeat(cr, 2, 0), 2, 1).astype(np.int64)
+        seen = np.zeros(1 << 24, dtype=bool)
+        for cb_value in range(256):
+            cb = np.full((128, 128), cb_value, dtype=np.uint8)
+            img = YCbCr420Image(256, 256, y, cb, cr)
+            got = ycbcr420_to_rgb(img).pixels
+            want = _formula_rgb(img)
+            # bit patterns, so that -0.0 and 0.0 count as different
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cb_value
+            seen[(y.astype(np.int64) << 16) | (cb_value << 8) | cr_full] = True
+        assert seen.all()
+
     def test_neutral_chroma_is_gray(self):
         img = YCbCr420Image(2, 2, np.full((2, 2), 128, np.uint8),
                             np.full((1, 1), 128, np.uint8),

@@ -6,6 +6,7 @@ Each test starts an ephemeral-port server; near keyframes are kept at
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import socket
 import struct
@@ -235,6 +236,28 @@ class TestErrors:
             env = client.send(good)
         assert not np.allclose(env.pixels, 0.5, atol=1e-3)
         assert caplog.records == []
+
+    def test_bad_value_at_either_end_of_a_near_frame_gets_error_reply(self, server):
+        # The checks are reductions over the whole frame, so a bad first or
+        # last pixel is found like any other; every refusal leaves the
+        # connection serving.
+        good = _near_packet(_room(), (0.3, 1.4, 0.3))
+        cases = [("depth", v, "depth values must be finite")
+                 for v in (np.nan, np.inf, -np.inf, -1.0)]
+        cases += [("confidence", v, "confidence values must be 0, 1 or 2")
+                  for v in (3, 255)]
+        with client_connect(server.address) as client:
+            client.send(_init_packet())
+            for field, value, match in cases:
+                for pixel in ((0, 0), (-1, -1)):
+                    bad = dataclasses.replace(good)
+                    setattr(bad, field, getattr(good, field).copy())
+                    getattr(bad, field)[pixel] = value
+                    with pytest.raises(ProtocolError,
+                                       match=f"invalid keyframe: {match}"):
+                        client.send(bad)
+                    env = client.send(good)
+                    assert not np.allclose(env.pixels, 0.5, atol=1e-3)
 
     def test_oversized_frame_rejected_client_side(self, server):
         raw = socket.create_connection(server.address, timeout=5.0)
