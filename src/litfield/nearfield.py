@@ -290,13 +290,6 @@ def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
     return cloud if inside.all() else cloud.select(inside)
 
 
-# Reusable scratch buffers for the projection hot path. Fresh multi-MB
-# allocations are page-fault bound on first touch, which dominates the
-# latency budget for million-point clouds. Each thread that projects keeps
-# one buffer set per part of its split in thread-local storage, so the
-# service's handler and registration threads never share them.
-_scratch = threading.local()
-
 # Key-map value of a pixel no point landed on. Its upper half is above
 # the bits of every distance, so it is above every point's key, and so is
 # any value it reaches when a view's index offset is added to its lower
@@ -307,12 +300,29 @@ _NO_POINT = np.uint64(0xFFFFFFFF00000000)
 _MAX_POINTS = 1 << 32
 
 # Projections and merges of large inputs are split into up to one part
-# per core, each of at least _MIN_PART items (points or pixels). The
-# calling thread runs the first part and short-lived helper threads the
-# others.
+# per core, each of at least _MIN_PART items (points or pixels). Every
+# part runs on the process's projection pool of PROJECTION_WORKERS
+# threads, whichever thread asks for the split.
 PROJECTION_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1)
 _MIN_PART = 1 << 17
+
+
+def _new_pool() -> None:
+    """Give this process a projection pool. A forked child needs its own,
+    as the parent's workers do not exist in it to run what it queues."""
+    global _pool
+    _pool = ThreadPoolExecutor(PROJECTION_WORKERS, thread_name_prefix="projection")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+# The key pass's temporaries, kept per pool worker in thread-local storage
+# (one set per worker, however many threads project) and reused: fresh
+# ones fault their pages in, about 8 ms per HIGH near keyframe in the server.
+_scratch = threading.local()
 
 
 def _parts(items: int) -> int:
@@ -320,26 +330,14 @@ def _parts(items: int) -> int:
 
 
 def _run_parts(fn, jobs: list[tuple]) -> list:
-    """fn(*job) for every job, the first on the calling thread and the
-    others on helper threads; the results in job order."""
-    if len(jobs) == 1:
-        return [fn(*jobs[0])]
-    with ThreadPoolExecutor(len(jobs) - 1) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs[1:]]
-        return [fn(*jobs[0])] + [f.result() for f in futures]
+    """fn(*job) for every job, on the projection pool; the results in job
+    order. The caller waits for them, so a job must not split again."""
+    futures = [_pool.submit(fn, *job) for job in jobs]
+    return [f.result() for f in futures]
 
 
-def _part_scratch(parts: int) -> list[dict]:
-    """The calling thread's scratch buffer sets, one per part."""
-    sets = getattr(_scratch, "parts", None)
-    if sets is None:
-        sets = _scratch.parts = []
-    while len(sets) < parts:
-        sets.append({})
-    return sets[:parts]
-
-
-def _buf(bufs: dict, name: str, n: int, dtype) -> np.ndarray:
+def _buf(name: str, n: int, dtype) -> np.ndarray:
+    bufs = _scratch.__dict__
     arr = bufs.get(name)
     if arr is None or arr.size < n or arr.dtype != dtype:
         arr = bufs[name] = np.empty(max(n, 1), dtype)
@@ -348,9 +346,9 @@ def _buf(bufs: dict, name: str, n: int, dtype) -> np.ndarray:
 
 def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
                   stop: int, rec_pos: np.ndarray, level: tuple[int, int],
-                  best: np.ndarray, bufs: dict) -> None:
+                  best: np.ndarray) -> None:
     """Scatter-min the keys of points start..stop-1 into the flat key map
-    best of the level (w, h). Temporaries live in the scratch set bufs.
+    best of the level (w, h), with temporaries from the thread's _scratch.
 
     A key is the point's float32 distance bits above its index (index[i]
     for point i, or i itself when index is None), so one scatter-min
@@ -363,14 +361,14 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     """
     n = stop - start
     pos = positions[start:stop]
-    x = _buf(bufs, "x", n, np.float32)
-    y = _buf(bufs, "y", n, np.float32)
-    z = _buf(bufs, "z", n, np.float32)
+    x = _buf("x", n, np.float32)
+    y = _buf("y", n, np.float32)
+    z = _buf("z", n, np.float32)
     np.subtract(pos[:, 0], rec_pos[0], out=x)
     np.subtract(pos[:, 1], rec_pos[1], out=y)
     np.subtract(pos[:, 2], rec_pos[2], out=z)
-    dist = _buf(bufs, "dist", n, np.float32)
-    tmpf = _buf(bufs, "tmpf", n, np.float32)
+    dist = _buf("dist", n, np.float32)
+    tmpf = _buf("tmpf", n, np.float32)
     np.multiply(x, x, out=dist)
     np.multiply(y, y, out=tmpf)
     dist += tmpf
@@ -379,7 +377,7 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     np.sqrt(dist, out=dist)
 
     # Two little-endian uint32 halves avoid widening and shifting passes.
-    halves = _buf(bufs, "key", 2 * n, np.uint32).reshape(n, 2)
+    halves = _buf("key", 2 * n, np.uint32).reshape(n, 2)
     halves[:, 0] = (np.arange(start, stop, dtype=np.uint32) if index is None
                     else index[start:stop])
     halves[:, 1] = dist.view(np.uint32)
@@ -392,7 +390,7 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     # All stages write into reused scratch so the pass count stays at a
     # handful.
     np.negative(z, out=z)
-    theta_frac = _buf(bufs, "theta", n, np.float32)
+    theta_frac = _buf("theta", n, np.float32)
     np.arctan2(x, z, out=theta_frac)
     theta_frac *= np.float32(0.5 / np.pi)
     theta_frac += np.float32(1.0)
@@ -411,8 +409,8 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
     phi_frac *= np.float32(1.0 / np.pi)
 
     w, h = level
-    px = _buf(bufs, "px", n, np.int32)
-    flat = _buf(bufs, "py", n, np.int32)
+    px = _buf("px", n, np.int32)
+    flat = _buf("py", n, np.int32)
     # theta_frac*w floors into [w/2, 3w/2]; subtracting w/2 centers the
     # forward direction, and the single value that lands on w is the wrap
     # back to column 0.
@@ -524,8 +522,8 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
         return maps[0]
     bounds = [n * i // parts for i in range(parts + 1)]
     _run_parts(_scatter_keys, [
-        (positions, index, bounds[i], bounds[i + 1], rec_pos, level, maps[i], bufs)
-        for i, bufs in enumerate(_part_scratch(parts))])
+        (positions, index, bounds[i], bounds[i + 1], rec_pos, level, maps[i])
+        for i in range(parts)])
     keys = maps[0]
     for other in maps[1:]:
         np.minimum(keys, other, out=keys)

@@ -16,6 +16,7 @@ import socket
 import socketserver
 import struct
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ from .session import EnvironmentMap, Preset, ReconstructionSession, preset_confi
 log = logging.getLogger(__name__)
 
 FRAME_CAP = 64 * 1024 * 1024  # bytes
+# Live sessions per connection: a SessionInit for a new id past it evicts
+# the least recently used one. A bare HIGH session holds about 23 MB
+# besides the far table it shares.
+MAX_SESSIONS = 8
 
 # The preset byte of a SessionInit; CUSTOM asks for the server's default.
 PRESET_TO_BYTE = {Preset.LOW: 0, Preset.MEDIUM: 1, Preset.HIGH: 2, Preset.CUSTOM: 3}
@@ -82,11 +87,12 @@ class ServerConfig:
 
 
 class _ConnectionState:
-    """Per-connection session map plus a lock serializing socket writes
-    (the ICP worker thread shares the socket with the request loop)."""
+    """Per-connection session map, least recently used first, plus a lock
+    serializing socket writes (the ICP worker thread shares the socket
+    with the request loop)."""
 
     def __init__(self):
-        self.sessions: dict[int, ReconstructionSession] = {}
+        self.sessions: OrderedDict[int, ReconstructionSession] = OrderedDict()
         self.send_lock = threading.Lock()
         self.icp_threads: list[threading.Thread] = []
         # the registration of the frame being answered, started once its
@@ -147,12 +153,16 @@ class _Handler(socketserver.BaseRequestHandler):
             sess = session_mod.create_session(
                 packet.rec_pos, preset_config(preset), packet.native_res,
                 packet.ambient, session_id=packet.session_id)
+            state.sessions.pop(packet.session_id, None)
+            if len(state.sessions) >= MAX_SESSIONS:
+                state.sessions.popitem(last=False)
             state.sessions[packet.session_id] = sess
             return _map_response(sess)
         if isinstance(packet, (protocol.NearKeyframe, protocol.FarKeyframe)):
             sess = state.sessions.get(packet.session_id)
             if sess is None:
                 return protocol.ErrorPacket(f"unknown session {packet.session_id}")
+            state.sessions.move_to_end(packet.session_id)
             size = (packet.intrinsics.width, packet.intrinsics.height)
             if isinstance(packet, protocol.NearKeyframe) and size != sess.native_res:
                 raise ProtocolError(f"near frame size {size} != native_res {sess.native_res}")

@@ -4,8 +4,11 @@ buffer, boundary filtering, multi-resolution projection/merging, ICP."""
 from __future__ import annotations
 
 import math
+import os
+import signal
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +535,64 @@ class TestSplitProjection:
             assert len(got[i]) == 3
             for layers in got[i]:
                 _assert_same_layers(layers, want[i])
+
+    def test_live_callers_hold_one_scratch_set_per_pool_worker(self, monkeypatch):
+        # The key pass's scratch: six float32 and two int32 arrays and one
+        # uint64 key per point of a part.
+        set_bytes_per_point = 40
+        workers = nearfield.PROJECTION_WORKERS
+        part = 1 << 15
+        monkeypatch.setattr(nearfield, "_MIN_PART", part)
+        cloud, _ = _grid_cloud(workers * part, seed=12)
+        levels = [(64, 32)]
+        callers = 4
+        results = [None] * callers
+        projected = threading.Barrier(callers + 1)
+        release = threading.Event()
+
+        def project(i):
+            results[i] = project_multires(cloud, SPLIT_REC, levels)
+            projected.wait(timeout=60.0)
+            release.wait(timeout=60.0)
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            threads = [threading.Thread(target=project, args=(i,))
+                       for i in range(callers)]
+            for t in threads:
+                t.start()
+            projected.wait(timeout=60.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+            release.set()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            release.set()
+            tracemalloc.stop()
+        held -= sum(a.nbytes for layers in results for layer in layers
+                    for a in (layer.color, layer.distance, layer.valid))
+        one_set = set_bytes_per_point * part
+        assert held <= workers * one_set + one_set // 4
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_projects(self, monkeypatch):
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
+        cloud, _ = _grid_cloud(_split_size(2), seed=13)
+        want = project_multires(cloud, SPLIT_REC, SPLIT_LEVELS)
+        pid = os.fork()
+        if pid == 0:  # the child; the parent's pool workers are not in it
+            code = 1
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(10)  # a hang ends the child
+                got = project_multires(cloud, SPLIT_REC, SPLIT_LEVELS)
+                _assert_same_layers(got, want)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ── merge_multires ───────────────────────────────────────────────────────

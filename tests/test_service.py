@@ -372,6 +372,29 @@ class TestIsolation:
             assert ambient.all(axis=2).mean() > 0.5
 
 
+class TestSessionCap:
+    def test_least_recently_used_session_is_evicted(self, server):
+        scene = _room()
+        cap = service.MAX_SESSIONS
+
+        def far(sid):
+            return _far_packet(scene, (0.0, 1.4, 0.0), (0.0, 1.4, -3.0),
+                               session_id=sid)
+
+        with client_connect(server.address) as client:
+            for sid in range(cap):
+                client.send(_init_packet(session_id=sid))
+            client.send(far(0))  # 0 is now the most recently used
+            # re-initialising a live id replaces it and evicts nothing
+            client.send(_init_packet(session_id=1))
+            client.send(_init_packet(session_id=cap))  # evicts 2
+            with pytest.raises(ProtocolError, match="unknown session 2"):
+                client.send(far(2))
+            for sid in [0, 1, *range(3, cap + 1)]:
+                env = client.send(far(sid))
+                assert not np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
+
+
 class TestIcpUpdates:
     def test_unsolicited_update_follows_primary_response(self):
         scene = _room()

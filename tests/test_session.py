@@ -417,9 +417,14 @@ def _whole_buffer_near_map(sess):
 
 
 class TestIncrementalNearMap:
-    @pytest.mark.parametrize("name", list(INCREMENTAL_CONFIGS))
-    def test_bit_identical_to_whole_buffer_projection(self, name):
-        cfg = INCREMENTAL_CONFIGS[name]
+    @pytest.mark.parametrize("name", list(INCREMENTAL_CONFIGS) + ["high-split"])
+    def test_bit_identical_to_whole_buffer_projection(self, name, monkeypatch):
+        if name == "high-split":
+            # each view's boundary-index key pass and the layer fill in
+            # three parts
+            monkeypatch.setattr(nearfield, "_MIN_PART", 512)
+            monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 3)
+        cfg = INCREMENTAL_CONFIGS[name.removesuffix("-split")]
         sess = create_session(REC_EXACT, cfg, (64, 48), GRAY)
         rng = np.random.default_rng(11)
         dirs = rng.normal(size=(300, 3))
