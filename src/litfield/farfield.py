@@ -283,7 +283,8 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
                 w: float = DEFAULT_EXPONENT,
                 mode: ExtrapolationMode = ExtrapolationMode.NORMALIZED,
                 table: ExtrapolationTable | None = None,
-                previous: tuple[EnvMapLayer, np.ndarray] | None = None) -> EnvMapLayer:
+                previous: tuple[EnvMapLayer, np.ndarray] | None = None
+                ) -> EnvMapLayer | tuple[EnvMapLayer, np.ndarray]:
     """Fill an equirectangular map from anchor colors.
 
     Every output pixel is valid and +inf away (far field carries no
@@ -297,8 +298,9 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
     returned for the same table, and the float32 anchor colors it was
     computed from. Only the pixels of tiles whose K-lists hold an anchor
     whose float32 color differs from colors are computed again; they are
-    written into layer, which is returned. The result is bit-identical to
-    the full product.
+    written into layer, and (layer, the row-major indices of the pixels
+    computed again) is returned. The result is bit-identical to the full
+    product.
     """
     width, height = target
     if width != 2 * height:
@@ -332,11 +334,11 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
             if np.shape(before) != colors.shape:
                 raise ValueError("previous colors do not match the table")
             changed = np.flatnonzero((colors != before).any(axis=1))
-            if len(changed):
-                hit = table.tile_anchors[changed].any(axis=0)
-                _apply(op, colors, layer.color.reshape(npix, 3),
-                       _tile_pixels(hit, width, height))
-            return layer
+            if not len(changed):
+                return layer, np.empty(0, dtype=np.intp)
+            rows = _tile_pixels(table.tile_anchors[changed].any(axis=0), width, height)
+            _apply(op, colors, layer.color.reshape(npix, 3), rows)
+            return layer, rows
     else:
         out = np.empty((npix, 3))
         normals = equirect_pixel_dirs(width, height).reshape(-1, 3)

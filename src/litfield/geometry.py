@@ -96,8 +96,13 @@ class Pose:
         return Pose(self.rotation.T, -self.rotation.T @ self.translation)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Apply to (..., 3) points."""
-        return np.asarray(points) @ self.rotation.T + self.translation
+        """Apply to (..., 3) points: points @ rotation.T + translation, bit
+        for bit. The translation is added one coordinate at a time, in
+        place, which is faster than broadcasting a (3,) row."""
+        out = np.asarray(points) @ self.rotation.T
+        for axis in range(3):
+            out[..., axis] += self.translation[axis]
+        return out
 
 
 @dataclass(frozen=True)

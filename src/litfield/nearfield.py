@@ -160,22 +160,39 @@ class DensePointCloudBuffer:
             finest[pixels] = np.minimum(finest[pixels], keys + np.uint64(offset))
             sources.append((offset, slot.cloud.colors))
             offset += len(slot.cloud)
-        # floor(x / r) == floor(floor(x) / r) for integer r, and the
-        # half-width centering offset divides through, so a level whose
-        # pixels are r x r blocks of the first level's takes its key map as
-        # a block-min of the first one. The levels merge coarsest first,
-        # each broadcast over its pixel blocks; a finer level wins on its
-        # keys' upper halves (distances) alone, so it takes an exact tie
-        # even when its index is the higher one.
+        # Bands of rows that are whole pixel blocks of every level merge
+        # independently, in parts on several threads.
         merged = np.empty_like(finest)
-        for i, ((lw, lh), r) in enumerate(self._merge_order):
-            level = (finest if r == 1 else _block_min(finest, lw, lh, r)).reshape(lh, 1, lw, 1)
-            blocks = merged.reshape(lh, r, lw, r)
+        step = math.lcm(*(r for _, r in self._merge_order))
+        blocks = h // step
+        parts = min(_parts(w * h), blocks)
+        _run_parts(self._merge_rows, [
+            (finest, merged, step * (blocks * i // parts),
+             step * (blocks * (i + 1) // parts)) for i in range(parts)])
+        return _layer(merged, w, h, sources)
+
+    def _merge_rows(self, finest: np.ndarray, merged: np.ndarray, r0: int, r1: int) -> None:
+        """Merge rows r0..r1-1 of every level's key map, taken from the flat
+        finest one, into the flat key map merged.
+
+        floor(x / r) == floor(floor(x) / r) for integer r, and the
+        half-width centering offset divides through, so a level whose
+        pixels are r x r blocks of the first level's takes its key map as
+        a block-min of the first one. The levels merge coarsest first, each
+        broadcast over its pixel blocks; a finer level wins on its keys'
+        upper halves (distances) alone, so it takes an exact tie even when
+        its index is the higher one."""
+        w = self._size[0]
+        band = finest[r0 * w:r1 * w]
+        out = merged[r0 * w:r1 * w]
+        for i, ((lw, _), r) in enumerate(self._merge_order):
+            lh = (r1 - r0) // r
+            level = (band if r == 1 else _block_min(band, lw, lh, r)).reshape(lh, 1, lw, 1)
+            blocks = out.reshape(lh, r, lw, r)
             if i == 0:
                 blocks[...] = level
             else:
                 np.copyto(blocks, level, where=(level >> 32) <= (blocks >> 32))
-        return _layer(merged, w, h, sources)
 
     def view_ids(self) -> list[int]:
         return [s.view_id for s in self._slots]

@@ -211,9 +211,11 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 def _map_response(sess: ReconstructionSession) -> protocol.EnvMapResponse:
-    env = sess.compose()
-    return protocol.EnvMapResponse(sess.session_id, env.width, env.height,
-                                   env.to_uint8())
+    """A snapshot of the session's kept reply. The caller holds sess.lock:
+    a registration thread rewrites the reply once the lock is free, while
+    the response is encoded outside it."""
+    h, w, _ = sess.reply.shape
+    return protocol.EnvMapResponse(sess.session_id, w, h, sess.reply.copy())
 
 
 class _Server(socketserver.ThreadingTCPServer):

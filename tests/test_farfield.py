@@ -411,9 +411,12 @@ class TestIncrementalExtrapolate:
             splat_to_anchors(a, rng.normal(size=(n, 3)), rng.uniform(0, 1, (n, 3)))
             if step == 5:
                 fill_unobserved(a, np.full(3, 0.25))  # colors change, weights do not
-            result = extrapolate(a, size, table=table, previous=(layer, before))
+            old = layer.color.copy()
+            result, rows = extrapolate(a, size, table=table, previous=(layer, before))
             assert result is layer
             assert np.array_equal(layer.color, _full_product(a, table))
+            moved = np.flatnonzero((layer.color != old).any(axis=2))
+            assert np.isin(moved, rows).all()
 
     @pytest.mark.parametrize("size", [(128, 64), (200, 100)])
     def test_every_row_holding_a_changed_anchor_is_recomputed(self, size, monkeypatch):
@@ -434,8 +437,9 @@ class TestIncrementalExtrapolate:
             before = a.colors.astype(np.float32)
             a.colors[anchor] = 0.9 if a.colors[anchor, 0] != 0.9 else 0.1
             calls.clear()
-            extrapolate(a, size, table=table, previous=(layer, before))
+            _, rows = extrapolate(a, size, table=table, previous=(layer, before))
             recomputed = np.concatenate(calls)
+            assert np.array_equal(rows, recomputed)
             needed = np.flatnonzero((table.indices == anchor).any(axis=1))
             assert np.isin(needed, recomputed).all(), anchor
             assert len(recomputed) < table.width * table.height

@@ -85,6 +85,20 @@ class TestPose:
         assert np.allclose(q.rotation, p.rotation)
         assert np.allclose(q.translation, p.translation)
 
+    @pytest.mark.parametrize("shape", [(3,), (1000, 3), (7, 11, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_transform_is_the_matrix_product_bit_for_bit(self, shape, dtype):
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        p = Pose(q, rng.normal(size=3) * 10.0)
+        points = (rng.normal(size=shape) * 3.0).astype(dtype)
+        got = p.transform(points)
+        want = points @ p.rotation.T + p.translation
+        assert got.shape == shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 
 # ── SphericalDir ─────────────────────────────────────────────────────────
 

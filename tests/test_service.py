@@ -10,6 +10,7 @@ import dataclasses
 import logging
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -18,7 +19,7 @@ import pytest
 
 from litfield import protocol, service
 from litfield.errors import ProtocolError
-from litfield.geometry import Intrinsics
+from litfield.geometry import CameraFrame, ColorImage, Intrinsics, Pose
 from litfield.harness.scene import (
     FaceAppearance,
     SyntheticScene,
@@ -35,7 +36,7 @@ from litfield.service import (
     serve,
     write_frame,
 )
-from litfield.session import Preset, ReconstructionSession, preset_config
+from litfield.session import Preset, ReconstructionSession, create_session, preset_config
 
 K_NEAR = Intrinsics(fx=40.0, fy=40.0, cx=32.0, cy=24.0, width=64, height=48)
 K_FAR = Intrinsics(fx=20.0, fy=15.0, cx=16.0, cy=12.0, width=32, height=24)
@@ -395,7 +396,105 @@ class TestSessionCap:
                 assert not np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
 
 
+class TestMapResponse:
+    def test_is_a_snapshot_of_the_kept_reply(self):
+        sess = create_session(REC, preset_config(Preset.LOW), (64, 48), np.full(3, 0.5))
+        sess.ingest_near(render_rgbd(_room(), look_at((0.3, 1.4, 0.3), REC), K_NEAR))
+        reply = service._map_response(sess)
+        sent = reply.rgb.copy()
+        assert (reply.width, reply.height) == (512, 256)
+        assert np.array_equal(sent, sess.compose().to_uint8())
+        for kept in (sess.reply, sess._far_bytes, sess.near_map.color,
+                     sess.far_map.color):
+            assert not np.shares_memory(reply.rgb, kept)
+        frame = render_rgbd(_room(), look_at(REC, (0.0, 1.4, -3.0)), K_FAR)
+        sess.ingest_far(frame)  # a later update leaves the sent response as it was
+        assert not np.array_equal(sess.reply, sent)
+        assert np.array_equal(reply.rgb, sent)
+
+    def test_responses_hold_while_other_threads_update_the_session(self):
+        # Two threads take responses while three update the session, each
+        # under its lock, as the request loop and a registration thread do.
+        config = dataclasses.replace(preset_config(Preset.LOW), num_views=2,
+                                     near_capture_res=(64, 48),
+                                     multires_levels=((128, 64), (64, 32)),
+                                     envmap_res=(128, 64))
+        sess = create_session(REC, config, (64, 48), np.full(3, 0.5))
+        scene = _room()
+        rng = np.random.default_rng(4)
+        nears = [render_rgbd(scene, look_at(eye, REC), K_NEAR, view_id=i)
+                 for i, eye in enumerate([(0.3, 1.4, 0.3), (-0.3, 1.4, 0.3),
+                                          (0.0, 1.4, -0.4)])]
+        moved = Pose(np.eye(3), np.array([0.002, 0.0, -0.001]))
+        deadline = time.monotonic() + 2.0
+        failures = []
+        far_updates = [0]
+
+        def far(i):  # every frame moves some anchors
+            sess.ingest_far(CameraFrame(ColorImage(32, 24, rng.random((24, 32, 3))),
+                                        K_FAR, look_at(REC, REC + rng.normal(size=3))))
+            far_updates[0] += 1
+
+        def register(i):
+            for view in sess.buffer.view_ids()[:1]:
+                if sess.apply_registration(view, moved, sess.buffer.get_view(view)):
+                    sess.reproject_near()
+
+        def read(i):
+            with sess.lock:
+                reply = service._map_response(sess)
+                expect = sess.compose().to_uint8()
+                seen = far_updates[0]
+            while far_updates[0] == seen and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the session has changed
+            if not np.array_equal(reply.rgb, expect):
+                failures.append("a response changed after the lock was released")
+
+        def run(step):
+            try:
+                i = 0
+                while time.monotonic() < deadline and not failures:
+                    if step is read:
+                        read(i)
+                    else:
+                        with sess.lock:
+                            step(i)
+                    i += 1
+            except Exception as e:  # reported by the main thread
+                failures.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(step,)) for step in (
+                far, lambda i: sess.ingest_near(nears[i % len(nears)]),
+                register, read, read)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
 class TestIcpUpdates:
+    def test_no_reply_is_composed_or_quantized_whole(self, monkeypatch):
+        def whole_map(*args):
+            raise AssertionError("the serving path rebuilt a whole reply")
+
+        monkeypatch.setattr(ReconstructionSession, "compose", whole_map)
+        monkeypatch.setattr(service.EnvironmentMap, "to_uint8", whole_map)
+        scene = _room()
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            client.send(_far_packet(scene, REC, (0.0, 1.4, -3.0)))
+            client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
+            client.send(_near_packet(scene, (0.0, 1.4, 0.4), view_id=1))
+            assert client.poll_update(2.0) is not None
+
     def test_unsolicited_update_follows_primary_response(self):
         scene = _room()
         with Server(ServerConfig(icp_enabled=True)) as srv, \

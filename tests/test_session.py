@@ -135,8 +135,9 @@ class TestEnvironmentMap:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_to_uint8_ties_and_out_of_range(self, dtype):
         # 0.5 * 255 = 127.5 exactly: the tie rounds up. Every other value
-        # quantizes exactly as the reference formula does, in the input's
-        # dtype, including the ties k + 0.5 as that dtype computes them.
+        # quantizes exactly as the reference formula does in float64,
+        # whatever the input's dtype, including the ties k + 0.5 as that
+        # dtype stores them.
         ties = (np.arange(255) + 0.5) / 255.0
         near = np.nextafter(ties, [[-1.0], [2.0]]).ravel()
         extremes = [-np.inf, -1e30, -0.2, -0.0, 1.0 + 1e-7, 1.5, 255.0, 1e30, np.inf]
@@ -144,8 +145,12 @@ class TestEnvironmentMap:
         m = EnvironmentMap(len(vals), 1, np.repeat(vals[None, :, None], 3, axis=2))
         out = m.to_uint8()
         assert out[0, 0, 0] == 128
-        expect = np.floor(np.clip(vals, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        wide = vals.astype(np.float64)
+        expect = np.floor(np.clip(wide, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
         assert np.array_equal(out[0, :, 0], expect)
+        if dtype is np.float32:  # the formula in float32 rounds some of them up
+            narrow = np.floor(np.clip(vals, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+            assert not np.array_equal(narrow, expect)
         assert out.dtype == np.uint8 and np.array_equal(out[..., 0], out[..., 2])
 
     def test_uint8_round_trip(self):
@@ -615,3 +620,70 @@ class TestIncrementalFarMap:
         for d in plan_guided_movement(np.array([0.0, 0.0, -1.0]), 9).directions:
             sess.ingest_far(render_rgbd(scene, look_at(rec, rec + d.to_unit()), K_FAR))
             assert np.array_equal(sess.far_map.color, _far_product(sess))
+
+
+# ── kept reply ───────────────────────────────────────────────────────────
+
+class TestKeptReply:
+    # 0.5 lies exactly on a rounding tie (0.5 * 255 + 0.5 = 128.0), and
+    # 254.5 / 255 just below one that float32 arithmetic rounds onto.
+    @pytest.mark.parametrize("ambient", [0.5, 254.5 / 255.0])
+    @pytest.mark.parametrize("preset", [Preset.MEDIUM, Preset.HIGH])
+    def test_equals_the_composed_map_after_every_update(self, preset, ambient):
+        config = preset_config(preset)
+        sess = create_session(REC_EXACT, config, (64, 48), np.full(3, ambient))
+        rng = np.random.default_rng(23)
+        scene = default_scene()
+
+        def check(step):
+            assert sess.reply.dtype == np.uint8, step
+            assert np.array_equal(sess.reply, sess.compose().to_uint8()), step
+
+        def far(color=None):
+            target = REC_EXACT + rng.normal(size=3)
+            if color is None:
+                return render_rgbd(scene, look_at(REC_EXACT, target), K_FAR)
+            return CameraFrame(ColorImage(*FAR_CAPTURE_RES, np.full((24, 32, 3), color)),
+                               K_FAR, look_at(REC_EXACT, target))
+
+        def view():
+            """20k points inside the boundary cube, in colors outside [0, 1]."""
+            pos = REC_EXACT + rng.uniform(-0.5, 0.5, (20_000, 3)) * BOUNDARY_SIDE
+            return PointCloud(pos, rng.uniform(-0.5, 1.5, (len(pos), 3)))
+
+        check("create")
+        before = (sess.anchors.colors.astype(np.float32), sess.reply.copy())
+        sess.ingest_far(far(ambient))  # ambient samples onto ambient anchors
+        assert np.array_equal(sess.anchors.colors.astype(np.float32), before[0])
+        assert np.array_equal(sess.reply, before[1])
+        check("far that changes no anchor")
+        for step in range(3):
+            sess.ingest_far(far())
+            check(f"far {step}")
+
+        views = config.num_views
+        for vid in range(views):
+            sess.buffer.insert_view(vid, view())
+            sess.reproject_near()
+            check(f"insert {vid}")
+        assert sess.near_map.valid.any() and not sess.near_map.valid.all()
+        for step in range(3):
+            sess.ingest_far(far())
+            check(f"far {step} over the near map")
+        sess.buffer.insert_view(1, view())
+        sess.reproject_near()
+        check("overwrite 1")
+        sess.buffer.insert_view(views, view())
+        assert 0 not in sess.buffer.view_ids()
+        sess.reproject_near()
+        check(f"insert {views}, evicting 0")
+        eye = REC_EXACT + np.array([0.3, 0.0, 0.3])
+        sess.ingest_near(_frame(_small_room(), eye, REC_EXACT, view_id=2))
+        check("near keyframe")
+
+        source = sess.buffer.get_view(1)
+        moved = Pose(np.eye(3), np.array([0.01, -0.02, 0.005]))
+        assert sess.apply_registration(1, moved, source)
+        check("registration of 1")
+        sess.reproject_near()
+        check("reprojection after the registration of 1")
