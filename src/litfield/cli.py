@@ -162,9 +162,11 @@ def reconstruct(data_dir, out_dir):
 
     os.makedirs(out_dir, exist_ok=True)
     ds.write_envmap(os.path.join(out_dir, "composed.ppm"), sess.compose())
-    for name, layer in (("near.ppm", sess.near_map), ("far.ppm", sess.far_map)):
-        ds.write_envmap(os.path.join(out_dir, name),
-                        EnvironmentMap(layer.width, layer.height, layer.color))
+    # the near map's colors are already bytes; the far map's are float
+    ds.write_ppm(os.path.join(out_dir, "near.ppm"), sess.near_map.color)
+    far = sess.far_map
+    ds.write_envmap(os.path.join(out_dir, "far.ppm"),
+                    EnvironmentMap(far.width, far.height, far.color))
 
     click.echo(f"{'stage':<30}{'total ms':>10}")
     for label, key in _TIMING_ROWS:

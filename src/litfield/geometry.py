@@ -135,20 +135,30 @@ class SphericalDir:
 
 @dataclass
 class ColorImage:
-    """Row-major RGB image with linear channel values in [0, 1]."""
+    """Row-major RGB image with linear channel values in [0, 1]: float64,
+    or uint8 with byte k standing for k/255."""
 
     width: int
     height: int
-    pixels: np.ndarray  # (height, width, 3) float
+    pixels: np.ndarray  # (height, width, 3) float64 or uint8
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.shape != (self.height, self.width, 3):
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype != np.uint8:
+            pixels = pixels.astype(np.float64, copy=False)
+        self.pixels = pixels
+        if pixels.shape != (self.height, self.width, 3):
             raise ValueError("pixel array shape does not match dimensions")
         # min and max propagate NaN, so these two reductions also reject
-        # every non-finite value
-        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
+        # every non-finite value; every byte is in range
+        if pixels.dtype != np.uint8 and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             raise ValueError("pixel values must be finite and lie in [0, 1]")
+
+    def colors_at(self, index: np.ndarray) -> np.ndarray:
+        """The (n, 3) float64 colors of the pixels at the flat row-major
+        indices index."""
+        colors = self.pixels.reshape(-1, 3)[index]
+        return colors / 255.0 if colors.dtype == np.uint8 else colors
 
 
 @dataclass

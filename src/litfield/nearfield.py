@@ -20,10 +20,32 @@ from .errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
 from .geometry import ColorImage, DepthImage, Intrinsics, Pose
 
 
+def quantize(pixels: np.ndarray) -> np.ndarray:
+    """8-bit export of linear colors: clipped to [0, 1], round half up.
+
+    The arithmetic is float64 whatever the input's dtype. In float32, a
+    color just below a rounding tie would round onto the tie and land one
+    step up; far colors extrapolated from ambient 0.5 (0.5 * 255 + 0.5 =
+    128.0) sit that close to one."""
+    scaled = np.clip(pixels, 0.0, 1.0, dtype=np.float64)
+    scaled *= 255.0
+    scaled += 0.5
+    return np.floor(scaled, out=scaled).astype(np.uint8)
+
+
+def _by_pixel(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (..., 3) array as a flat view of one record per
+    pixel: NumPy gathers and scatters whole records two to three times
+    faster than the rows of an (n, 3) array."""
+    return a.reshape(-1, 3).view(np.dtype((np.void, 3 * a.itemsize))).reshape(-1)
+
+
 @dataclass
 class PointCloud:
     """Columnar world-space point store: positions (N, 3) meters, colors
-    (N, 3) linear RGB in [0, 1]."""
+    (N, 3) uint8 RGB, byte k standing for the linear value k/255. A near
+    pixel's color is only ever copied, never blended, so it is quantized
+    once, here: float colors go through quantize."""
 
     positions: np.ndarray
     colors: np.ndarray
@@ -32,7 +54,10 @@ class PointCloud:
         # float32 positions keep the multi-million-point projection path
         # inside its latency budget; sub-micrometer precision is ample.
         self.positions = np.asarray(self.positions, dtype=np.float32).reshape(-1, 3)
-        self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
+        colors = np.asarray(self.colors)
+        if colors.dtype != np.uint8:
+            colors = quantize(colors)
+        self.colors = np.ascontiguousarray(colors).reshape(-1, 3)
         if len(self.positions) != len(self.colors):
             raise ValueError("positions and colors must have equal length")
 
@@ -41,7 +66,7 @@ class PointCloud:
 
     @staticmethod
     def empty() -> "PointCloud":
-        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
+        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8))
 
     def select(self, mask_or_idx) -> "PointCloud":
         return PointCloud(self.positions[mask_or_idx], self.colors[mask_or_idx])
@@ -229,7 +254,8 @@ class NearFieldBoundary:
 class EnvMapLayer:
     """One projected equirectangular layer: color, per-pixel distance to
     the reconstruction position, and validity. Invalid pixels carry
-    distance +inf."""
+    distance +inf and color 0. A near layer's colors are the uint8 colors
+    of its points; the far map's are float32."""
 
     width: int
     height: int
@@ -239,8 +265,9 @@ class EnvMapLayer:
 
     @staticmethod
     def empty(width: int, height: int) -> "EnvMapLayer":
+        """The near layer no point reached."""
         return EnvMapLayer(width, height,
-                           np.zeros((height, width, 3)),
+                           np.zeros((height, width, 3), dtype=np.uint8),
                            np.full((height, width), np.inf),
                            np.zeros((height, width), dtype=bool))
 
@@ -250,15 +277,23 @@ class EnvMapLayer:
 _BAND_PIXELS = 1 << 14
 
 
-def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
-                         pose: Pose, min_confidence: int = 2) -> PointCloud:
-    """Unproject every pixel with confidence >= min_confidence and depth > 0
-    into world space. Output order is row-major over kept pixels. When
-    every pixel is kept, the cloud's colors share color.pixels."""
-    if (color.width, color.height) != (depth.width, depth.height):
-        raise ValueError("color and depth dimensions must match")
+def kept_pixels(depth: DepthImage, min_confidence: int = 2) -> np.ndarray:
+    """The (height, width) mask of the pixels generate_dense_cloud keeps:
+    confidence >= min_confidence and depth > 0."""
     if min_confidence not in (0, 1, 2):
         raise ValueError("min_confidence must be in {0, 1, 2}")
+    return (depth.confidence >= min_confidence) & (depth.depth > 0)
+
+
+def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
+                         pose: Pose, min_confidence: int = 2) -> PointCloud:
+    """Unproject every pixel of kept_pixels(depth, min_confidence) into
+    world space. Output order is row-major over kept pixels. When every
+    pixel is kept and color is uint8, the cloud's colors share
+    color.pixels."""
+    if (color.width, color.height) != (depth.width, depth.height):
+        raise ValueError("color and depth dimensions must match")
+    keep = kept_pixels(depth, min_confidence)
     # d * camera_ray, rotated and translated in float64 over the whole
     # grid, a band of rows at a time. Each point gets the bits of its own
     # pixel's unprojection: float32 depth promotes exactly, and the matmul
@@ -281,7 +316,6 @@ def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
         for axis in range(3):
             np.add(rotated[:, axis], pose.translation[axis], out=out[:, axis])
     cloud = PointCloud(positions, color.pixels.reshape(-1, 3))
-    keep = (depth.confidence >= min_confidence) & (d > 0)
     return cloud if keep.all() else cloud.select(keep.ravel())
 
 
@@ -460,18 +494,20 @@ def _block_min(keys: np.ndarray, w: int, h: int, r: int) -> np.ndarray:
 
 def _gather(sources: list[tuple[int, np.ndarray]], idx: np.ndarray,
             out: np.ndarray) -> None:
-    """out[i] = row idx[i] of the concatenation of the color arrays of
-    sources, given as (start row, colors) in row order; rows past the end
-    clip to the last one."""
+    """out[i] = row idx[i] of the concatenation of the (n, 3) uint8 color
+    arrays of sources, given as (start row, colors) in row order; rows
+    past the end clip to the last one. Rows move as whole 3-byte records
+    (see _by_pixel)."""
+    out = _by_pixel(out)
     if len(sources) == 1:
-        sources[0][1].take(idx, axis=0, out=out, mode="clip")
+        _by_pixel(sources[0][1]).take(idx, out=out, mode="clip")
         return
     which = np.zeros(len(idx), dtype=np.int32)
     for start, _ in sources[1:]:
         which += idx >= start
     for i, (start, colors) in enumerate(sources):
         sel = np.flatnonzero(which == i)
-        out[sel] = colors.take(idx[sel] - idx.dtype.type(start), axis=0, mode="clip")
+        out[sel] = _by_pixel(colors).take(idx[sel] - idx.dtype.type(start), mode="clip")
 
 
 def _layer(keys: np.ndarray, w: int, h: int,
@@ -479,7 +515,7 @@ def _layer(keys: np.ndarray, w: int, h: int,
     """The w x h layer of the flat key map keys: a hit pixel takes its
     winning point's color (gathered from sources, see _gather) and
     distance. The pixels are filled in parts on several threads."""
-    layer = EnvMapLayer(w, h, np.empty((h, w, 3)), np.empty((h, w)),
+    layer = EnvMapLayer(w, h, np.empty((h, w, 3), dtype=np.uint8), np.empty((h, w)),
                         np.empty((h, w), dtype=bool))
     color = layer.color.reshape(-1, 3)
     distance = layer.distance.reshape(-1)
@@ -493,7 +529,7 @@ def _layer(keys: np.ndarray, w: int, h: int,
         distance[s:e] = halves[:, 1].view(np.float32)
         miss = ~valid[s:e]
         if miss.any():
-            color[s:e][miss] = 0.0
+            color[s:e][miss] = 0
             distance[s:e][miss] = np.inf
 
     parts = _parts(w * h)

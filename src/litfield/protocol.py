@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ProtocolError, TruncatedPacketError, UnknownPacketKindError
 from .geometry import CameraFrame, ColorImage, DepthImage, Intrinsics, Pose
+from .nearfield import quantize
 
 KIND_SESSION_INIT = 0x01
 KIND_NEAR_KEYFRAME = 0x02
@@ -99,32 +100,92 @@ def rgb_to_ycbcr420(img: ColorImage) -> YCbCr420Image:
 # Full-range BT.601 by per-byte tables: R and B indexed by y << 8 | chroma,
 # G's two chroma terms by chroma. Each entry is the float64 formula's
 # value, computed in the same order, so the decode equals the formula bit
-# for bit (the tests check all 2^24 (y, cb, cr) triples).
+# for bit (the tests check all 2^24 (y, cb, cr) triples). The uint8 decode
+# quantizes the R and B tables; G it quantizes from the float64 formula.
 _LEVELS = np.arange(256, dtype=np.float64)
 _CHROMA = _LEVELS - 128.0
 _R_TABLE = (np.clip(_LEVELS[:, None] + 1.402 * _CHROMA, 0.0, 255.0) / 255.0).ravel()
 _B_TABLE = (np.clip(_LEVELS[:, None] + 1.772 * _CHROMA, 0.0, 255.0) / 255.0).ravel()
+_R_BYTES = quantize(_R_TABLE)
+_B_BYTES = quantize(_B_TABLE)
 _G_CB = 0.344136 * _CHROMA
 _G_CR = 0.714136 * _CHROMA
+# Row pairs per band of the uint8 decode: a band's float64 G stays in cache.
+_BAND_PAIRS = 8
+
+
+def _green(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """G of the bytes y, cb, cr (broadcast together) on the 0..255 scale,
+    clipped, in float64."""
+    g = y - _G_CB[cb]
+    g -= _G_CR[cr]
+    return np.clip(g, 0.0, 255.0, out=g)
+
+
+def _rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray) -> None:
+    """Write the float64 decode of the bytes y, cb, cr (broadcast
+    together) to out, shaped (..., 3)."""
+    y_hi = y.astype(np.uint16) << 8
+    out[..., 0] = _R_TABLE[y_hi | cr]
+    out[..., 2] = _B_TABLE[y_hi | cb]
+    np.divide(_green(y, cb, cr), 255.0, out=out[..., 1])
+
+
+def _row_pairs(img: YCbCr420Image):
+    """y as (row pairs, 2, width), and cb and cr column-doubled as
+    (row pairs, 1, width): one row of chroma broadcasts over the two image
+    rows it covers."""
+    h, w = img.height, img.width
+    return (img.y.reshape(h // 2, 2, w),
+            np.repeat(img.cb, 2, axis=1)[:, None, :],
+            np.repeat(img.cr, 2, axis=1)[:, None, :])
 
 
 def ycbcr420_to_rgb(img: YCbCr420Image) -> ColorImage:
     h, w = img.height, img.width
     rgb = np.empty((h, w, 3))
-    # Rows in pairs, so one row of column-doubled chroma broadcasts over
-    # the two image rows it covers.
-    pairs = rgb.reshape(h // 2, 2, w, 3)
-    y = img.y.reshape(h // 2, 2, w)
-    cb = np.repeat(img.cb, 2, axis=1)[:, None, :]
-    cr = np.repeat(img.cr, 2, axis=1)[:, None, :]
-    y_hi = y.astype(np.uint16) << 8
-    pairs[..., 0] = _R_TABLE[y_hi | cr]
-    pairs[..., 2] = _B_TABLE[y_hi | cb]
-    g = y - _G_CB[cb]
-    g -= _G_CR[cr]
-    np.clip(g, 0.0, 255.0, out=g)
-    np.divide(g, 255.0, out=pairs[..., 1])
+    _rgb(*_row_pairs(img), rgb.reshape(h // 2, 2, w, 3))
     return ColorImage(w, h, rgb)
+
+
+def ycbcr420_to_rgb8(img: YCbCr420Image) -> np.ndarray:
+    """quantize(ycbcr420_to_rgb(img).pixels) bit for bit, as (height,
+    width, 3) uint8, without the float image. G is floor(g + 0.5) of the
+    clipped float64 g, a band of row pairs at a time; the cast truncates,
+    which is the floor of a value >= 0.5."""
+    h, w = img.height, img.width
+    rgb = np.empty((h, w, 3), dtype=np.uint8)
+    pairs = rgb.reshape(h // 2, 2, w, 3)
+    y, cb, cr = _row_pairs(img)
+    for top in range(0, h // 2, _BAND_PAIRS):
+        band = slice(top, top + _BAND_PAIRS)
+        yb, cbb, crb = y[band], cb[band], cr[band]
+        y_hi = yb.astype(np.uint16) << 8
+        out = pairs[band]
+        out[..., 0] = _R_BYTES[y_hi | crb]
+        out[..., 2] = _B_BYTES[y_hi | cbb]
+        g = _green(yb, cbb, crb)
+        g += 0.5
+        out[..., 1] = g
+    return rgb
+
+
+@dataclass
+class DecodedColorImage(ColorImage):
+    """A near frame's color: its uint8 decode, with the planes it was
+    decoded from. colors_at gives the float decode of the pixels asked
+    for, bit for bit that of ycbcr420_to_rgb, not their bytes over 255."""
+
+    planes: YCbCr420Image
+
+    def colors_at(self, index: np.ndarray) -> np.ndarray:
+        w = self.planes.width
+        row, col = np.divmod(index, w)
+        chroma = (row >> 1) * (w >> 1) + (col >> 1)
+        out = np.empty((len(index), 3))
+        _rgb(self.planes.y.reshape(-1)[index], self.planes.cb.reshape(-1)[chroma],
+             self.planes.cr.reshape(-1)[chroma], out)
+        return out
 
 
 # --- packets -----------------------------------------------------------------
@@ -157,8 +218,9 @@ class NearKeyframe:
     def to_camera_frame(self) -> CameraFrame:
         k = self.intrinsics
         depth = DepthImage(k.width, k.height, self.depth, self.confidence)
-        return CameraFrame(ycbcr420_to_rgb(self.color), k, self.pose,
-                           depth, view_id=self.view_id)
+        color = DecodedColorImage(k.width, k.height, ycbcr420_to_rgb8(self.color),
+                                  self.color)
+        return CameraFrame(color, k, self.pose, depth, view_id=self.view_id)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from . import farfield, nearfield
 from .errors import ConfigurationError, InvalidDepthError
 from .farfield import UnitSphereAnchorSet
 from .geometry import CameraFrame, Pose
-from .nearfield import DensePointCloudBuffer, EnvMapLayer
+from .nearfield import DensePointCloudBuffer, EnvMapLayer, _by_pixel, quantize
 
 FAR_CAPTURE_RES = (32, 24)
 
@@ -87,26 +87,6 @@ _PRESETS = {
                       multires_levels=((1024, 512), (512, 256)),
                       envmap_res=(1024, 512)),
 }
-
-
-def quantize(pixels: np.ndarray) -> np.ndarray:
-    """8-bit export of linear colors: clipped to [0, 1], round half up.
-
-    The arithmetic is float64 whatever the input's dtype. In float32, a
-    color just below a rounding tie would round onto the tie and land one
-    step up; far colors extrapolated from ambient 0.5 (0.5 * 255 + 0.5 =
-    128.0) sit that close to one."""
-    scaled = np.clip(pixels, 0.0, 1.0, dtype=np.float64)
-    scaled *= 255.0
-    scaled += 0.5
-    return np.floor(scaled, out=scaled).astype(np.uint8)
-
-
-def _by_pixel(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous (..., 3) array as a flat view of one record per
-    pixel: NumPy gathers and scatters whole records two to three times
-    faster than the rows of an (n, 3) array."""
-    return a.reshape(-1, 3).view(np.dtype((np.void, 3 * a.itemsize))).reshape(-1)
 
 
 def preset_config(preset: Preset) -> SessionConfig:
@@ -196,18 +176,21 @@ class ReconstructionSession:
         rows = rows[~self.near_map.valid.reshape(-1)[rows]]
         _by_pixel(self.reply)[rows] = far[rows]
 
-    def _splat_near_sample(self, cloud: nearfield.PointCloud) -> None:
-        # Downsample the dense cloud to a 32x24-equivalent sample (one
-        # point per far-capture-pixel stratum) before anchor splatting.
+    def _splat_near_sample(self, frame: CameraFrame, cloud: nearfield.PointCloud,
+                           min_confidence: int) -> None:
+        # Downsample the dense cloud of frame, made with min_confidence, to
+        # a 32x24-equivalent sample (one point per far-capture-pixel
+        # stratum) before anchor splatting. The sample takes the frame's
+        # float colors at its pixels, not the cloud's bytes.
         fw, fh = FAR_CAPTURE_RES
         stride = max(1, len(cloud) // (fw * fh))
-        sample = cloud.select(slice(0, None, stride))
-        rel = sample.positions - self.rec_pos
+        pixels = np.flatnonzero(nearfield.kept_pixels(frame.depth, min_confidence))
+        rel = cloud.positions[::stride] - self.rec_pos
         dist = np.linalg.norm(rel, axis=1)
         keep = dist > 0
         farfield.splat_to_anchors(self.anchors,
                                   rel[keep] / dist[keep, None],
-                                  sample.colors[keep])
+                                  frame.color.colors_at(pixels[::stride][keep]))
 
     def ingest_near(self, frame: CameraFrame) -> EnvMapLayer:
         """Run the full near-field pipeline for one RGB-D frame and return
@@ -223,11 +206,12 @@ class ReconstructionSession:
             self.buffer.insert_view(frame.view_id, cloud)
         # The far-field splat keeps working even when every depth sample
         # failed the confidence filter: color alone is still evidence.
+        min_confidence = 2 if len(cloud) else 0
         splat_cloud = cloud if len(cloud) else nearfield.generate_dense_cloud(
-            frame.color, frame.depth, frame.intrinsics, frame.pose, 0)
+            frame.color, frame.depth, frame.intrinsics, frame.pose, min_confidence)
         if len(splat_cloud):
             t0 = time.perf_counter()
-            self._splat_near_sample(splat_cloud)
+            self._splat_near_sample(frame, splat_cloud, min_confidence)
             self.timings["sparse_cloud"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             self._update_far_map()
@@ -259,8 +243,8 @@ class ReconstructionSession:
         """Recompute the near map from the current buffer contents (used
         after asynchronous registration updates the buffered points).
         Only views whose points changed since the last call are
-        projected again. The reply is rebuilt from the near map and the
-        quantized far map, in bands of rows on several threads."""
+        projected again. The reply is rebuilt from the near map's bytes and
+        the quantized far map, in bands of rows on several threads."""
         w, h = self.config.envmap_res
         self.near_map = nearfield.resample_nearest(self.buffer.project(), w, h)
         parts = nearfield._parts(w * h)
@@ -269,10 +253,18 @@ class ReconstructionSession:
         return self.near_map
 
     def _compose_reply_rows(self, r0: int, r1: int) -> None:
-        """Rows r0..r1-1 of the reply, from the near and the quantized far map."""
-        self.reply[r0:r1] = np.where(self.near_map.valid[r0:r1, :, None],
-                                     quantize(self.near_map.color[r0:r1]),
-                                     self._far_bytes[r0:r1])
+        """Rows r0..r1-1 of the reply: the near map's bytes where it is
+        valid, the quantized far map's elsewhere. The select is
+        near & m | far & ~m for a byte mask m, 0xFF on valid pixels:
+        0.7-0.9 ms per 256 rows of a 1024x512 map, against 4.6-7 ms for
+        np.where broadcasting an (h, w, 1) mask (isolated, 2 cores)."""
+        mask = np.repeat(self.near_map.valid[r0:r1].reshape(-1), 3).view(np.uint8)
+        np.negative(mask, out=mask)  # 1 -> 0xFF
+        out = self.reply[r0:r1].reshape(-1)
+        np.bitwise_and(self.near_map.color[r0:r1].reshape(-1), mask, out=out)
+        np.invert(mask, out=mask)
+        mask &= self._far_bytes[r0:r1].reshape(-1)
+        out |= mask
 
     def apply_registration(self, view_id: int, correction: Pose,
                            source: nearfield.PointCloud) -> bool:
@@ -284,10 +276,11 @@ class ReconstructionSession:
         return self.buffer.replace_view(view_id, source, aligned)
 
     def compose(self) -> EnvironmentMap:
-        """Per-pixel hard override: near map where valid, far map elsewhere."""
+        """Per-pixel hard override: near map where valid, far map elsewhere.
+        A near byte k reads as k/255."""
         w, h = self.config.envmap_res
         pixels = np.where(self.near_map.valid[:, :, None],
-                          self.near_map.color, self.far_map.color)
+                          self.near_map.color / 255.0, self.far_map.color)
         return EnvironmentMap(w, h, np.clip(pixels, 0.0, 1.0, out=pixels))
 
 

@@ -29,7 +29,8 @@ from litfield.harness.scene import (
     orbit_trajectory,
     render_rgbd,
 )
-from litfield.session import EnvironmentMap
+from litfield.service import preset_of_byte
+from litfield.session import EnvironmentMap, create_session, preset_config
 
 K64 = Intrinsics(fx=55.0, fy=55.0, cx=32.0, cy=24.0, width=64, height=48)
 
@@ -285,6 +286,22 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "multi-resolution projection" in r.output
         assert os.path.exists(os.path.join(out_dir, "composed.ppm"))
+        # the maps are those of an in-process run of the same dataset
+        data = ds.load_dataset(data_dir)
+        init = data.init_packet()
+        sess = create_session(init.rec_pos, preset_config(preset_of_byte(init.preset)),
+                              init.native_res, init.ambient, session_id=init.session_id)
+        for packet in data.frames():
+            frame = packet.to_camera_frame()
+            if isinstance(packet, protocol.NearKeyframe):
+                sess.ingest_near(frame)
+            else:
+                sess.ingest_far(frame)
+        near = ds.read_ppm(os.path.join(out_dir, "near.ppm"))
+        assert np.array_equal(near, sess.near_map.color)
+        assert ((near > 0) & (near < 255)).any()  # bytes, not clipped floats
+        assert np.array_equal(ds.read_ppm(os.path.join(out_dir, "composed.ppm")),
+                              sess.reply)
 
         r = runner.invoke(cli_main, ["evaluate", "--data", data_dir,
                                      "--maps", out_dir])

@@ -29,6 +29,7 @@ from litfield.nearfield import (
     generate_dense_cloud,
     merge_multires,
     project_multires,
+    quantize,
     register_icp,
     resample_nearest,
 )
@@ -70,7 +71,7 @@ class TestGenerateDenseCloud:
             for u in range(2):
                 expect = unproject(u, v, 1.0, K2, Pose.identity())
                 assert np.allclose(cloud.positions[i], expect, atol=1e-6)
-                assert np.allclose(cloud.colors[i], color.pixels[v, u])
+                assert np.array_equal(cloud.colors[i], quantize(color.pixels[v, u]))
                 i += 1
 
     def test_all_low_confidence_empty(self):
@@ -145,7 +146,7 @@ class TestDenseCloudMatchesRays:
         if kind == "none" and min_confidence > 0:
             assert len(want) == 0
         assert got.positions.dtype == want.positions.dtype == np.float32
-        assert got.colors.dtype == want.colors.dtype == np.float64
+        assert got.colors.dtype == want.colors.dtype == np.uint8
         assert got.positions.shape == want.positions.shape
         assert got.positions.tobytes() == want.positions.tobytes()
         assert got.colors.tobytes() == want.colors.tobytes()
@@ -166,9 +167,16 @@ class TestDenseCloudMatchesRays:
 
     def test_colors_share_the_image_when_every_pixel_is_kept(self):
         color, depth = self._frame("all", np.float32)
+        color = ColorImage(self.W, self.H, quantize(color.pixels))
         cloud = generate_dense_cloud(color, depth, self.K, Pose.identity())
         assert len(cloud) == self.W * self.H
         assert np.shares_memory(cloud.colors, color.pixels)
+
+    def test_float_colors_are_quantized_once(self):
+        color, depth = self._frame("mixed", np.float64)
+        cloud = generate_dense_cloud(color, depth, self.K, Pose.identity(), 1)
+        keep = nearfield.kept_pixels(depth, 1)
+        assert np.array_equal(cloud.colors, quantize(color.pixels[keep]))
 
 
 # ── DensePointCloudBuffer ────────────────────────────────────────────────
@@ -357,14 +365,14 @@ class TestProjectMultires:
         for layer, (w, h) in zip(layers, levels):
             assert layer.valid.sum() == 1
             assert layer.valid[h // 2, w // 2]
-            assert np.allclose(layer.color[h // 2, w // 2], (1, 0, 0))
+            assert np.array_equal(layer.color[h // 2, w // 2], (255, 0, 0))
 
     def test_occlusion_keeps_nearest(self):
         cloud = _cloud([[0, 0, -2.0], [0, 0, -1.0]],
                        [[1, 0, 0], [0, 1, 0]])
         layer = project_multires(cloud, np.zeros(3), [(64, 32)])[0]
         assert layer.valid.sum() == 1
-        assert np.allclose(layer.color[16, 32], (0, 1, 0))
+        assert np.array_equal(layer.color[16, 32], (0, 255, 0))
         assert layer.distance[16, 32] == pytest.approx(1.0)
 
     def test_empty_cloud_all_invalid(self):
@@ -378,7 +386,7 @@ class TestProjectMultires:
         cloud = _cloud([[0, 0, 0], [0, 0, -1.0]], [[1, 0, 0], [0, 1, 0]])
         layer = project_multires(cloud, np.zeros(3), [(8, 4)])[0]
         assert layer.valid.sum() == 1
-        assert np.array_equal(layer.color[2, 4], [0, 1, 0])
+        assert np.array_equal(layer.color[2, 4], [0, 255, 0])
 
     def test_levels_validation(self):
         cloud = _cloud([[0, 0, -1.0]])
@@ -598,7 +606,9 @@ class TestSplitProjection:
 # ── merge_multires ───────────────────────────────────────────────────────
 
 def _layer(w, h, fill_color=None, distance=None):
+    """A layer of float colors: merge_multires keeps its layers' dtype."""
     layer = EnvMapLayer.empty(w, h)
+    layer.color = layer.color.astype(np.float64)
     if fill_color is not None:
         layer.color[:] = fill_color
         layer.distance[:] = 1.0 if distance is None else distance

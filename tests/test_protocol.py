@@ -31,7 +31,9 @@ from litfield.protocol import (
     encode_packet,
     rgb_to_ycbcr420,
     ycbcr420_to_rgb,
+    ycbcr420_to_rgb8,
 )
+from litfield.nearfield import quantize
 
 f32 = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False,
                 width=32).map(float)
@@ -286,25 +288,57 @@ def _formula_rgb(img: YCbCr420Image) -> np.ndarray:
     return np.clip(np.stack([r, g, b], axis=-1), 0.0, 255.0) / 255.0
 
 
+def _every_triple():
+    """One 256x256 image per cb value, with the (y, cb, cr) triple of
+    each pixel as y << 16 | cb << 8 | cr. Chroma sample (i, j) has
+    cr = 2i + j // 64, so each cr value owns 64 samples, the 2x2 blocks
+    of image rows 2i and 2i + 1; their y values are 0..255."""
+    cr = np.repeat(np.arange(256, dtype=np.uint8), 64).reshape(128, 128)
+    y = (np.arange(256)[None, :] % 128 + 128 * (np.arange(256)[:, None] % 2))
+    y = y.astype(np.uint8)
+    cr_full = np.repeat(np.repeat(cr, 2, 0), 2, 1).astype(np.int64)
+    for cb_value in range(256):
+        cb = np.full((128, 128), cb_value, dtype=np.uint8)
+        yield (YCbCr420Image(256, 256, y, cb, cr),
+               (y.astype(np.int64) << 16) | (cb_value << 8) | cr_full)
+
+
 class TestYCbCr:
     def test_every_triple_decodes_as_the_formula(self):
-        # One 256x256 image per cb value. Chroma sample (i, j) has
-        # cr = 2i + j // 64, so each cr value owns 64 samples, the 2x2
-        # blocks of image rows 2i and 2i + 1; their y values are 0..255.
-        cr = np.repeat(np.arange(256, dtype=np.uint8), 64).reshape(128, 128)
-        y = (np.arange(256)[None, :] % 128 + 128 * (np.arange(256)[:, None] % 2))
-        y = y.astype(np.uint8)
-        cr_full = np.repeat(np.repeat(cr, 2, 0), 2, 1).astype(np.int64)
         seen = np.zeros(1 << 24, dtype=bool)
-        for cb_value in range(256):
-            cb = np.full((128, 128), cb_value, dtype=np.uint8)
-            img = YCbCr420Image(256, 256, y, cb, cr)
+        for img, triples in _every_triple():
             got = ycbcr420_to_rgb(img).pixels
             want = _formula_rgb(img)
             # bit patterns, so that -0.0 and 0.0 count as different
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cb_value
-            seen[(y.astype(np.int64) << 16) | (cb_value << 8) | cr_full] = True
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), img.cb[0, 0]
+            seen[triples] = True
         assert seen.all()
+
+    def test_every_triple_decodes_to_bytes_as_the_quantized_formula(self):
+        seen = np.zeros(1 << 24, dtype=bool)
+        for img, triples in _every_triple():
+            got = ycbcr420_to_rgb8(img)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, quantize(ycbcr420_to_rgb(img).pixels)), img.cb[0, 0]
+            seen[triples] = True
+        assert seen.all()
+
+    def test_near_frame_colors_at_are_the_float_decode(self):
+        rng = np.random.default_rng(31)
+        w, h = 34, 22  # not a multiple of the decode's band of row pairs
+        img = YCbCr420Image(w, h, rng.integers(0, 256, (h, w), dtype=np.uint8),
+                            rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+                            rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
+        near = NearKeyframe(1, 0, Pose.identity(), Intrinsics(30.0, 30.0, 17.0, 11.0, w, h),
+                            img, np.ones((h, w), np.float32), np.full((h, w), 2, np.uint8))
+        color = near.to_camera_frame().color
+        floats = ycbcr420_to_rgb(img).pixels
+        assert color.pixels.dtype == np.uint8
+        assert np.array_equal(color.pixels, quantize(floats))
+        index = rng.permutation(w * h)[:200]
+        got = color.colors_at(index)
+        assert got.dtype == np.float64
+        assert got.tobytes() == floats.reshape(-1, 3)[index].tobytes()
 
     def test_neutral_chroma_is_gray(self):
         img = YCbCr420Image(2, 2, np.full((2, 2), 128, np.uint8),
