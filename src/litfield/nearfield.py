@@ -106,11 +106,11 @@ class DensePointCloudBuffer:
     """
 
     def __init__(self, num_views: int, rec_pos: np.ndarray,
-                 levels: list[tuple[int, int]], slot_capacity: int | None = None):
+                 levels: list[tuple[int, int]], slot_capacity: int):
         if num_views < 1:
             raise ValueError("num_views must be >= 1")
         self.num_views = num_views
-        self.slot_capacity = slot_capacity  # points per view; None: no limit
+        self.slot_capacity = slot_capacity  # points per view
         self._boundary = NearFieldBoundary(rec_pos)
         self._rec = np.asarray(rec_pos, dtype=np.float32).reshape(3)
         levels = list(levels)
@@ -123,7 +123,7 @@ class DensePointCloudBuffer:
     def insert_view(self, view_id: int, cloud: PointCloud) -> None:
         if len(cloud) == 0:
             raise ValueError("cannot insert an empty view")
-        if self.slot_capacity is not None and len(cloud) > self.slot_capacity:
+        if len(cloud) > self.slot_capacity:
             raise PointCapacityError(
                 f"view of {len(cloud)} points exceeds the slot capacity "
                 f"of {self.slot_capacity}")
@@ -236,6 +236,7 @@ class DensePointCloudBuffer:
 
 
 BOUNDARY_SIDE = 2.0  # meters, edge of every near-field boundary cube
+MIN_CONFIDENCE = 2  # the confidence byte a dense-cloud pixel needs
 
 
 @dataclass(frozen=True)
@@ -277,23 +278,20 @@ class EnvMapLayer:
 _BAND_PIXELS = 1 << 14
 
 
-def kept_pixels(depth: DepthImage, min_confidence: int = 2) -> np.ndarray:
+def kept_pixels(depth: DepthImage) -> np.ndarray:
     """The (height, width) mask of the pixels generate_dense_cloud keeps:
-    confidence >= min_confidence and depth > 0."""
-    if min_confidence not in (0, 1, 2):
-        raise ValueError("min_confidence must be in {0, 1, 2}")
-    return (depth.confidence >= min_confidence) & (depth.depth > 0)
+    confidence >= MIN_CONFIDENCE and depth > 0."""
+    return (depth.confidence >= MIN_CONFIDENCE) & (depth.depth > 0)
 
 
 def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
-                         pose: Pose, min_confidence: int = 2) -> PointCloud:
-    """Unproject every pixel of kept_pixels(depth, min_confidence) into
-    world space. Output order is row-major over kept pixels. When every
-    pixel is kept and color is uint8, the cloud's colors share
-    color.pixels."""
+                         pose: Pose) -> PointCloud:
+    """Unproject every pixel of kept_pixels(depth) into world space.
+    Output order is row-major over kept pixels. When every pixel is kept
+    and color is uint8, the cloud's colors share color.pixels."""
     if (color.width, color.height) != (depth.width, depth.height):
         raise ValueError("color and depth dimensions must match")
-    keep = kept_pixels(depth, min_confidence)
+    keep = kept_pixels(depth)
     # d * camera_ray, rotated and translated in float64 over the whole
     # grid, a band of rows at a time. Each point gets the bits of its own
     # pixel's unprojection: float32 depth promotes exactly, and the matmul

@@ -126,6 +126,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 if not self._send(state, reply):
                     break
                 if state.pending_icp is not None:
+                    state.icp_threads = [t for t in state.icp_threads if t.is_alive()]
                     state.icp_threads.append(state.pending_icp)
                     state.pending_icp.start()
                     state.pending_icp = None

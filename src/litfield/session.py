@@ -16,7 +16,7 @@ import numpy as np
 from . import farfield, nearfield
 from .errors import ConfigurationError, InvalidDepthError
 from .farfield import UnitSphereAnchorSet
-from .geometry import CameraFrame, Pose
+from .geometry import CameraFrame, Pose, camera_ray
 from .nearfield import DensePointCloudBuffer, EnvMapLayer, _by_pixel, quantize
 
 FAR_CAPTURE_RES = (32, 24)
@@ -176,26 +176,30 @@ class ReconstructionSession:
         rows = rows[~self.near_map.valid.reshape(-1)[rows]]
         _by_pixel(self.reply)[rows] = far[rows]
 
-    def _splat_near_sample(self, frame: CameraFrame, cloud: nearfield.PointCloud,
-                           min_confidence: int) -> None:
-        # Downsample the dense cloud of frame, made with min_confidence, to
-        # a 32x24-equivalent sample (one point per far-capture-pixel
-        # stratum) before anchor splatting. The sample takes the frame's
-        # float colors at its pixels, not the cloud's bytes.
+    def _splat_near_sample(self, frame: CameraFrame) -> None:
+        # Splat a 32x24-equivalent sample (one pixel per far-capture-pixel
+        # stratum) of the frame's kept pixels, or of its pixels with depth
+        # when none is kept: color alone is still evidence. Each sampled
+        # pixel lands where generate_dense_cloud puts it, and brings the
+        # frame's float color.
         fw, fh = FAR_CAPTURE_RES
-        stride = max(1, len(cloud) // (fw * fh))
-        pixels = np.flatnonzero(nearfield.kept_pixels(frame.depth, min_confidence))
-        rel = cloud.positions[::stride] - self.rec_pos
+        mask = nearfield.kept_pixels(frame.depth)
+        pixels = np.flatnonzero(mask if mask.any() else frame.depth.depth > 0)
+        pixels = pixels[::max(1, len(pixels) // (fw * fh))]
+        v, u = np.divmod(pixels, frame.depth.width)
+        d = frame.depth.depth.reshape(-1)[pixels, None]
+        positions = frame.pose.transform(d * camera_ray(u, v, frame.intrinsics))
+        rel = positions.astype(np.float32) - self.rec_pos
         dist = np.linalg.norm(rel, axis=1)
         keep = dist > 0
-        farfield.splat_to_anchors(self.anchors,
-                                  rel[keep] / dist[keep, None],
-                                  frame.color.colors_at(pixels[::stride][keep]))
+        farfield.splat_to_anchors(self.anchors, rel[keep] / dist[keep, None],
+                                  frame.color.colors_at(pixels[keep]))
 
     def ingest_near(self, frame: CameraFrame) -> EnvMapLayer:
         """Run the full near-field pipeline for one RGB-D frame and return
-        the updated near map. Also feeds a sparse sample of the dense
-        cloud into the far-field anchors."""
+        the updated near map. Also feeds a sparse sample of the frame into
+        the far-field anchors. A frame with no kept pixel inserts no view,
+        so the near map stays as it was."""
         if frame.depth is None:
             raise InvalidDepthError("near-field ingestion requires depth")
         t0 = time.perf_counter()
@@ -204,21 +208,18 @@ class ReconstructionSession:
         self.timings["dense_cloud"] += time.perf_counter() - t0
         if len(cloud):
             self.buffer.insert_view(frame.view_id, cloud)
-        # The far-field splat keeps working even when every depth sample
-        # failed the confidence filter: color alone is still evidence.
-        min_confidence = 2 if len(cloud) else 0
-        splat_cloud = cloud if len(cloud) else nearfield.generate_dense_cloud(
-            frame.color, frame.depth, frame.intrinsics, frame.pose, min_confidence)
-        if len(splat_cloud):
-            t0 = time.perf_counter()
-            self._splat_near_sample(frame, splat_cloud, min_confidence)
-            self.timings["sparse_cloud"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            self._update_far_map()
-            self.timings["anchor_extrapolation"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        self.reproject_near()
-        self.timings["multires_projection"] += time.perf_counter() - t0
+        self._splat_near_sample(frame)
+        self.timings["sparse_cloud"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        self._update_far_map()
+        self.timings["anchor_extrapolation"] += time.perf_counter() - t0
+        # The near map depends only on the buffer, and the far update has
+        # already written every reply pixel the near map leaves free.
+        if len(cloud):
+            t0 = time.perf_counter()
+            self.reproject_near()
+            self.timings["multires_projection"] += time.perf_counter() - t0
         return self.near_map
 
     def ingest_far(self, frame: CameraFrame) -> EnvMapLayer:

@@ -76,8 +76,7 @@ class TestGenerateDenseCloud:
 
     def test_all_low_confidence_empty(self):
         color, depth = _frame_2x2(confidence=0)
-        cloud = generate_dense_cloud(color, depth, K2, Pose.identity(),
-                                     min_confidence=2)
+        cloud = generate_dense_cloud(color, depth, K2, Pose.identity())
         assert len(cloud) == 0
 
     def test_zero_depth_pixel_omitted(self):
@@ -93,19 +92,12 @@ class TestGenerateDenseCloud:
         with pytest.raises(ValueError):
             generate_dense_cloud(color, bad_depth, K2, Pose.identity())
 
-    def test_confidence_threshold_validation(self):
-        color, depth = _frame_2x2()
-        for bad in (-1, 3):
-            with pytest.raises(ValueError):
-                generate_dense_cloud(color, depth, K2, Pose.identity(),
-                                     min_confidence=bad)
 
-
-def _ray_cloud(color, depth, k, pose, min_confidence):
+def _ray_cloud(color, depth, k, pose):
     """The per-kept-pixel unprojection: rays of the kept pixels only, the
     depth in float64, colors gathered by the keep mask. The reference for
     generate_dense_cloud's full-grid pass."""
-    keep = (depth.confidence >= min_confidence) & (depth.depth > 0)
+    keep = (depth.confidence >= 2) & (depth.depth > 0)
     if not keep.any():
         return PointCloud.empty()
     v, u = np.nonzero(keep)
@@ -135,15 +127,14 @@ class TestDenseCloudMatchesRays:
 
     @pytest.mark.parametrize("kind", ["all", "mixed", "none"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("min_confidence", [0, 1, 2])
-    def test_bit_equal_to_per_pixel_rays(self, kind, dtype, min_confidence):
+    def test_bit_equal_to_per_pixel_rays(self, kind, dtype):
         color, depth = self._frame(kind, dtype)
         assert depth.depth.dtype == dtype
         r = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
         pose = Pose(r * np.sign(np.linalg.det(r)), np.array([0.7, -1.3, 2.1]))
-        got = generate_dense_cloud(color, depth, self.K, pose, min_confidence)
-        want = _ray_cloud(color, depth, self.K, pose, min_confidence)
-        if kind == "none" and min_confidence > 0:
+        got = generate_dense_cloud(color, depth, self.K, pose)
+        want = _ray_cloud(color, depth, self.K, pose)
+        if kind == "none":
             assert len(want) == 0
         assert got.positions.dtype == want.positions.dtype == np.float32
         assert got.colors.dtype == want.colors.dtype == np.uint8
@@ -162,7 +153,7 @@ class TestDenseCloudMatchesRays:
                            np.full((h, w), 2, np.uint8))
         pose = Pose(_rot_y(37.0), np.array([0.2, 1.1, -0.4]))
         got = generate_dense_cloud(color, depth, k, pose)
-        want = _ray_cloud(color, depth, k, pose, 2)
+        want = _ray_cloud(color, depth, k, pose)
         assert got.positions.tobytes() == want.positions.tobytes()
 
     def test_colors_share_the_image_when_every_pixel_is_kept(self):
@@ -174,14 +165,14 @@ class TestDenseCloudMatchesRays:
 
     def test_float_colors_are_quantized_once(self):
         color, depth = self._frame("mixed", np.float64)
-        cloud = generate_dense_cloud(color, depth, self.K, Pose.identity(), 1)
-        keep = nearfield.kept_pixels(depth, 1)
+        cloud = generate_dense_cloud(color, depth, self.K, Pose.identity())
+        keep = nearfield.kept_pixels(depth)
         assert np.array_equal(cloud.colors, quantize(color.pixels[keep]))
 
 
 # ── DensePointCloudBuffer ────────────────────────────────────────────────
 
-def _buffer(num_views, slot_capacity=None):
+def _buffer(num_views, slot_capacity=1 << 16):
     return DensePointCloudBuffer(num_views, np.zeros(3), [(8, 4)], slot_capacity)
 
 
@@ -225,7 +216,7 @@ class TestBuffer:
 
     def test_rejects_a_level_set_that_does_not_tile(self):
         with pytest.raises(ValueError, match="does not tile"):
-            DensePointCloudBuffer(1, np.zeros(3), [(96, 48), (40, 20)])
+            DensePointCloudBuffer(1, np.zeros(3), [(96, 48), (40, 20)], 1)
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=24))
     @settings(max_examples=200, deadline=None)
@@ -285,7 +276,7 @@ class TestBuffer:
                for i in range(2)]
         assert own[0] != own[1]
         assert own[0][0] // 2 == own[1][0] // 2 and own[0][1] // 2 == own[1][1] // 2
-        buf = DensePointCloudBuffer(1, rec, levels)
+        buf = DensePointCloudBuffer(1, rec, levels, len(cloud))
         buf.insert_view(0, cloud)
         got = buf.project()
         want = merge_multires(project_multires(cloud, rec, levels), levels[0])

@@ -574,6 +574,32 @@ class TestIcpUpdates:
             assert client.poll_update(0.5) is None
         assert sorted(applied) == [False, True]
 
+    def test_finished_registrations_are_dropped(self, monkeypatch):
+        # Each registration's update arrives before the next keyframe is
+        # sent, so when a registration starts every earlier one has sent
+        # its update; only the one that may still be returning is kept.
+        states = []
+
+        class RecordedState(service._ConnectionState):
+            def __init__(self):
+                super().__init__()
+                states.append(self)
+
+        monkeypatch.setattr(service, "_ConnectionState", RecordedState)
+        scene = _room()
+        eyes = [(0.3, 1.4, 0.3), (0.0, 1.4, 0.4), (-0.3, 1.4, 0.3),
+                (-0.4, 1.4, 0.0), (-0.3, 1.4, -0.3)]
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            for view_id, eye in enumerate(eyes):
+                client.send(_near_packet(scene, eye, view_id=view_id))
+                # the first keyframe has nothing to align with
+                update = client.poll_update(5.0 if view_id else 0.2)
+                assert (update is None) == (view_id == 0)
+            (state,) = states
+            assert len(state.icp_threads) <= 2
+
     def test_no_updates_when_disabled(self, server):
         scene = _room()
         with client_connect(server.address) as client:

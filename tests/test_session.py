@@ -16,7 +16,8 @@ import pytest
 from litfield import farfield, protocol
 from litfield.capture import plan_guided_movement
 from litfield.errors import ConfigurationError, InvalidDepthError, PointCapacityError
-from litfield.geometry import CameraFrame, ColorImage, DepthImage, Intrinsics, Pose
+from litfield.geometry import (CameraFrame, ColorImage, DepthImage, Intrinsics, Pose,
+                               camera_ray)
 from litfield.harness.scene import (
     SyntheticScene,
     FaceAppearance,
@@ -286,6 +287,97 @@ class TestIngestNear:
         assert int(sess.anchors.observed.sum()) > observed_before
 
 
+    def test_unkept_keyframe_builds_one_cloud_and_projects_nothing(self, monkeypatch):
+        scene = _small_room()
+        sess = _small_session()
+        for vid, eye in enumerate([(0.3, 1.4, 0.3), (-0.3, 1.4, 0.3)]):
+            sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=vid))
+        frame = _frame(scene, (0.0, 1.4, -0.4), sess.rec_pos, view_id=2)
+        lowconf = CameraFrame(
+            frame.color, frame.intrinsics, frame.pose,
+            DepthImage(64, 48, frame.depth.depth, np.zeros((48, 64), dtype=np.uint8)),
+            view_id=frame.view_id)
+        near = sess.near_map
+        before = (near.color.copy(), near.distance.copy(), near.valid.copy())
+        near_reply = sess.reply[near.valid]
+        observed_before = int(sess.anchors.observed.sum())
+        clouds = []
+        generate = nearfield.generate_dense_cloud
+
+        def counted_generate(*args):
+            clouds.append(generate(*args))
+            return clouds[-1]
+
+        def no_project(buffer):
+            raise AssertionError("the unchanged buffer was projected")
+
+        monkeypatch.setattr(nearfield, "generate_dense_cloud", counted_generate)
+        monkeypatch.setattr(nearfield.DensePointCloudBuffer, "project", no_project)
+        sess.ingest_near(lowconf)
+        assert len(clouds) == 1 and len(clouds[0]) == 0
+        for got, want in zip((sess.near_map.color, sess.near_map.distance,
+                              sess.near_map.valid), before):
+            assert got.tobytes() == want.tobytes()
+        assert sess.reply[before[2]].tobytes() == near_reply.tobytes()
+        assert int(sess.anchors.observed.sum()) > observed_before
+        assert np.array_equal(sess.reply, sess.compose().to_uint8())
+
+
+def _hand_splat(sess, frame, mask):
+    """Splat every stride-th pixel of mask, one per far-capture pixel, at
+    its per-pixel unprojection in float32 and in the frame's float color."""
+    fw, fh = FAR_CAPTURE_RES
+    pixels = np.flatnonzero(mask)
+    pixels = pixels[::max(1, len(pixels) // (fw * fh))]
+    v, u = np.divmod(pixels, frame.depth.width)
+    d = frame.depth.depth.astype(np.float64).reshape(-1)[pixels][:, None]
+    positions = (d * camera_ray(u, v, frame.intrinsics)) @ frame.pose.rotation.T \
+        + frame.pose.translation
+    rel = positions.astype(np.float32) - sess.rec_pos
+    dist = np.linalg.norm(rel, axis=1)
+    keep = dist > 0
+    farfield.splat_to_anchors(sess.anchors, rel[keep] / dist[keep, None],
+                              frame.color.pixels.reshape(-1, 3)[pixels[keep]])
+
+
+class TestNearSampleSet:
+    """The far splat of a near keyframe samples its kept pixels, or its
+    pixels with depth when none is kept, at a fixed stride."""
+
+    @pytest.mark.parametrize("case", ["all kept", "some below threshold",
+                                      "none kept", "no depth"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_anchors_equal_a_hand_splat(self, case, dtype):
+        rendered = _frame(_small_room(), (0.3, 1.4, 0.3), (0.0, 1.4, 0.0), view_id=3)
+        rng = np.random.default_rng(43)
+        depth = rendered.depth.depth.astype(dtype)
+        confidence = rendered.depth.confidence.copy()
+        if case == "some below threshold":
+            confidence[rng.random(confidence.shape) < 0.3] = 1
+            confidence[rng.random(confidence.shape) < 0.1] = 0
+        elif case == "none kept":
+            confidence[:] = 0
+            depth[rng.random(depth.shape) < 0.1] = 0.0
+        elif case == "no depth":
+            depth[:] = 0.0
+        frame = CameraFrame(rendered.color, rendered.intrinsics, rendered.pose,
+                            DepthImage(64, 48, depth, confidence), view_id=3)
+        kept = (confidence >= nearfield.MIN_CONFIDENCE) & (depth > 0)
+        mask = kept if kept.any() else depth > 0
+        a, b = _small_session(), _small_session()
+        a.ingest_near(frame)
+        _hand_splat(b, frame, mask)
+        assert a.anchors.colors.tobytes() == b.anchors.colors.tobytes()
+        assert a.anchors.weights.tobytes() == b.anchors.weights.tobytes()
+        assert np.array_equal(a.anchors.observed, b.anchors.observed)
+        assert a.anchors.observed.any() == (case != "no depth")
+        if case == "no depth":
+            fresh = _small_session()
+            assert a.far_map.color.tobytes() == fresh.far_map.color.tobytes()
+            assert np.array_equal(a.reply, fresh.reply)
+            assert not a.near_map.valid.any()
+
+
 class TestWireFrameFarPath:
     """A wire near frame decodes to bytes, but its far splat reads the
     float decode at the sampled pixels, so anchors, far map and reply are
@@ -300,7 +392,7 @@ class TestWireFrameFarPath:
         if case == "some low confidence":
             confidence[rng.random(confidence.shape) < 0.3] = 1
         elif case == "none kept":
-            # the min_confidence=0 fallback splat, whose keep mask still
+            # the splat falls back to the pixels with depth, so it still
             # drops the zero depths
             confidence[:] = 0
             depth[rng.random(depth.shape) < 0.1] = 0.0
