@@ -13,10 +13,9 @@ from .farfield import (ExtrapolationMode, ExtrapolationTable, UnitSphereAnchorSe
 from .geometry import (CameraFrame, ColorImage, DepthImage, Intrinsics, Observation,
                        Pose, SphericalDir, classify_observation, dir_to_equirect,
                        equirect_pixel_dirs, unproject)
-from .nearfield import (DensePointCloudBuffer, EnvMapLayer, IcpResult,
-                        NearFieldBoundary, PointCloud, filter_boundary,
-                        generate_dense_cloud, merge_multires, project_multires,
-                        register_icp)
+from .nearfield import (DensePointCloudBuffer, EnvMapLayer, IcpResult, PointCloud,
+                        filter_boundary, generate_dense_cloud, merge_multires,
+                        project_multires, register_icp)
 from .session import (EnvironmentMap, Preset, ReconstructionSession, SessionConfig,
                       create_session, preset_config)
 

@@ -83,10 +83,10 @@ class PointCloud:
 class _ViewSlot:
     view_id: int
     sequence: int
-    cloud: PointCloud
-    # the hit pixels of the finest level's flat key map of the points of
-    # cloud inside the boundary, indexed by their position in cloud, and
-    # their keys; None until projected
+    cloud: PointCloud  # the points of the view inside the boundary cube
+    # the hit pixels of the finest level's flat key map of cloud, indexed
+    # by each point's position in cloud, and their keys; None until
+    # projected
     keys: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -99,10 +99,13 @@ class DensePointCloudBuffer:
     slot with the smallest insertion sequence number (temporal
     consistency).
 
-    A buffer projects for one reconstruction position rec_pos, its 2 m
-    NearFieldBoundary and one level list, all fixed when it is built.
-    Each slot caches the projection of its cloud, so `project` projects
-    a view only when its cloud changes.
+    A buffer projects for one reconstruction position rec_pos and one
+    level list, both fixed when it is built. A slot holds only the points
+    of its view inside the boundary cube centered on rec_pos, the only
+    ones that project; the empty and slot-capacity checks see the view as
+    given, so a view wholly outside the cube still takes a slot. Each
+    slot caches the projection of its cloud, so `project` projects a view
+    only when its cloud changes.
     """
 
     def __init__(self, num_views: int, rec_pos: np.ndarray,
@@ -111,8 +114,8 @@ class DensePointCloudBuffer:
             raise ValueError("num_views must be >= 1")
         self.num_views = num_views
         self.slot_capacity = slot_capacity  # points per view
-        self._boundary = NearFieldBoundary(rec_pos)
-        self._rec = np.asarray(rec_pos, dtype=np.float32).reshape(3)
+        self._center = np.asarray(rec_pos, dtype=np.float64).reshape(3)
+        self._rec = self._center.astype(np.float32)
         levels = list(levels)
         self._size = levels[0]  # of the first level, and of the merged map
         # (level, r) pairs, coarsest first: the order the levels merge in
@@ -127,6 +130,7 @@ class DensePointCloudBuffer:
             raise PointCapacityError(
                 f"view of {len(cloud)} points exceeds the slot capacity "
                 f"of {self.slot_capacity}")
+        cloud = filter_boundary(cloud, self._center)
         seq = self._next_seq
         self._next_seq += 1
         for slot in self._slots:
@@ -139,45 +143,38 @@ class DensePointCloudBuffer:
         self._slots.append(_ViewSlot(view_id, seq, cloud))
 
     def replace_view(self, view_id: int, old: PointCloud, new: PointCloud) -> bool:
-        """Put new in place of the cloud old of view view_id, keeping the
-        slot's recency. Returns False, changing nothing, if the view no
-        longer holds old."""
+        """Put the points of new inside the boundary cube in place of the
+        cloud old of view view_id, keeping the slot's recency. Returns
+        False, changing nothing, if the view no longer holds old."""
         for slot in self._slots:
             if slot.view_id == view_id and slot.cloud is old:
-                slot.cloud, slot.keys = new, None
+                slot.cloud, slot.keys = filter_boundary(new, self._center), None
                 return True
         return False
 
     def project(self) -> EnvMapLayer:
-        """merge_multires(project_multires(filter_boundary(self.all_points(),
-        NearFieldBoundary(rec_pos)), rec_pos, levels), levels[0]) for the
-        buffer's rec_pos and levels, bit for bit, projecting only the
-        views whose cloud changed since the last call.
+        """merge_multires(project_multires(self.all_points(), rec_pos,
+        levels), levels[0]) for the buffer's rec_pos and levels, bit for
+        bit, projecting only the views whose cloud changed since the last
+        call.
 
         A view's key map holds each point's index in its own cloud; the
         view's offset in the concatenation is added at merge time. The
-        boundary keeps point order, so (slot order, index in view) orders
-        keys as the index into the filtered concatenation does, and exact
-        ties resolve the same way. The levels are merged on keys, and
-        colors are gathered once, for the merged map.
+        levels are merged on keys, and colors are gathered once, for the
+        merged map.
         """
         w, h = self._size
-        if not self._slots:
+        total = sum(len(slot.cloud) for slot in self._slots)
+        if total > _MAX_POINTS:
+            raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} points")
+        if total == 0:
             return EnvMapLayer.empty(w, h)
         finest = np.full(w * h, _NO_POINT)
         sources = []
         offset = 0
         for slot in self._slots:
-            positions = slot.cloud.positions
-            if offset + len(positions) > _MAX_POINTS:
-                raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} points")
             if slot.keys is None:
-                inside = _inside(positions, self._boundary)
-                index = None
-                if not inside.all():
-                    index = np.flatnonzero(inside).astype(np.uint32)
-                    positions = positions[index]
-                keys = _project_keys(positions, self._rec, (w, h), index)
+                keys = _project_keys(slot.cloud.positions, self._rec, (w, h))
                 # a view hits a fraction of the map: keep only those pixels
                 pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
                 slot.keys = (pixels, keys[pixels])
@@ -239,18 +236,6 @@ BOUNDARY_SIDE = 2.0  # meters, edge of every near-field boundary cube
 MIN_CONFIDENCE = 2  # the confidence byte a dense-cloud pixel needs
 
 
-@dataclass(frozen=True)
-class NearFieldBoundary:
-    """Axis-aligned cube of side BOUNDARY_SIDE centered on the
-    reconstruction position limiting which dense points get projected."""
-
-    center: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=np.float64).reshape(3))
-
-
 @dataclass
 class EnvMapLayer:
     """One projected equirectangular layer: color, per-pixel distance to
@@ -292,6 +277,8 @@ def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
     if (color.width, color.height) != (depth.width, depth.height):
         raise ValueError("color and depth dimensions must match")
     keep = kept_pixels(depth)
+    if not keep.any():
+        return PointCloud.empty()
     # d * camera_ray, rotated and translated in float64 over the whole
     # grid, a band of rows at a time. Each point gets the bits of its own
     # pixel's unprojection: float32 depth promotes exactly, and the matmul
@@ -317,26 +304,31 @@ def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
     return cloud if keep.all() else cloud.select(keep.ravel())
 
 
-def _inside(positions: np.ndarray, b: NearFieldBoundary) -> np.ndarray:
-    """Per point, whether it lies inside the cube (Chebyshev distance <=
-    BOUNDARY_SIDE/2, inclusive)."""
+def _inside(positions: np.ndarray, center) -> np.ndarray:
+    """Per point, whether it lies inside the cube of side BOUNDARY_SIDE
+    centered on center (Chebyshev distance <= BOUNDARY_SIDE/2, inclusive,
+    in float64)."""
+    center = np.asarray(center, dtype=np.float64).reshape(3)
     half = BOUNDARY_SIDE / 2.0
     # One float64 coordinate at a time: the same arithmetic as the max of
     # |positions - center| over the axes, without (n, 3) temporaries.
     d = np.empty(len(positions))
     inside = np.ones(len(positions), dtype=bool)
     for axis in range(3):
-        np.subtract(positions[:, axis], b.center[axis], out=d, dtype=np.float64)
+        np.subtract(positions[:, axis], center[axis], out=d, dtype=np.float64)
         np.abs(d, out=d)
         inside &= d <= half
     return inside
 
 
-def filter_boundary(cloud: PointCloud, b: NearFieldBoundary) -> PointCloud:
-    """Keep points inside the cube (Chebyshev distance <= BOUNDARY_SIDE/2,
-    inclusive). Returns cloud itself when every point is inside."""
-    inside = _inside(cloud.positions, b)
-    return cloud if inside.all() else cloud.select(inside)
+def filter_boundary(cloud: PointCloud, center) -> PointCloud:
+    """Keep, in order, the points inside the cube of side BOUNDARY_SIDE
+    centered on center (see _inside). Returns cloud itself when every
+    point is inside."""
+    inside = _inside(cloud.positions, center)
+    # An index select copies a partial cloud faster than a mask select:
+    # 3.8 against 8.6 ms for 196k points, 66 % inside (2-core host).
+    return cloud if inside.all() else cloud.select(np.flatnonzero(inside))
 
 
 # Key-map value of a pixel no point landed on. Its upper half is above
@@ -393,20 +385,18 @@ def _buf(name: str, n: int, dtype) -> np.ndarray:
     return arr[:n]
 
 
-def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
-                  stop: int, rec_pos: np.ndarray, level: tuple[int, int],
-                  best: np.ndarray) -> None:
+def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndarray,
+                  level: tuple[int, int], best: np.ndarray) -> None:
     """Scatter-min the keys of points start..stop-1 into the flat key map
     best of the level (w, h), with temporaries from the thread's _scratch.
 
-    A key is the point's float32 distance bits above its index (index[i]
-    for point i, or i itself when index is None), so one scatter-min
-    resolves both the winning distance and which point produced it, and
-    equal distances break toward the lower index. Distances are
-    non-negative, so the float32 bit pattern orders like the value.
-    Because indices are global, the element-wise minimum of the maps of
-    disjoint parts is the map of their union. Points coincident with
-    rec_pos have no direction and scatter nothing.
+    A key is the point's float32 distance bits above its index, so one
+    scatter-min resolves both the winning distance and which point
+    produced it, and equal distances break toward the lower index.
+    Distances are non-negative, so the float32 bit pattern orders like
+    the value. Because indices are global, the element-wise minimum of
+    the maps of disjoint parts is the map of their union. Points
+    coincident with rec_pos have no direction and scatter nothing.
     """
     n = stop - start
     pos = positions[start:stop]
@@ -427,8 +417,7 @@ def _scatter_keys(positions: np.ndarray, index: np.ndarray | None, start: int,
 
     # Two little-endian uint32 halves avoid widening and shifting passes.
     halves = _buf("key", 2 * n, np.uint32).reshape(n, 2)
-    halves[:, 0] = (np.arange(start, stop, dtype=np.uint32) if index is None
-                    else index[start:stop])
+    halves[:, 0] = np.arange(start, stop, dtype=np.uint32)
     halves[:, 1] = dist.view(np.uint32)
     key = halves.view(np.uint64).reshape(n)
     if float(dist.min()) <= 0.0:
@@ -554,11 +543,10 @@ def _level_ratios(levels: list[tuple[int, int]]) -> list[int]:
 
 
 def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
-                  level: tuple[int, int],
-                  index: np.ndarray | None = None) -> np.ndarray:
+                  level: tuple[int, int]) -> np.ndarray:
     """The key pass: the flat key map of the level (w, h) of the points
-    positions, whose indices are index (uint32, increasing) or else
-    0..n-1; points coinciding with rec_pos (float32) scatter nothing.
+    positions, indexed 0..n-1; points coinciding with rec_pos (float32)
+    scatter nothing.
 
     Large inputs are split in parts on several threads; because keys
     carry the index, the result does not depend on the split.
@@ -573,7 +561,7 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
         return maps[0]
     bounds = [n * i // parts for i in range(parts + 1)]
     _run_parts(_scatter_keys, [
-        (positions, index, bounds[i], bounds[i + 1], rec_pos, level, maps[i])
+        (positions, bounds[i], bounds[i + 1], rec_pos, level, maps[i])
         for i in range(parts)])
     keys = maps[0]
     for other in maps[1:]:

@@ -23,7 +23,6 @@ from litfield.nearfield import (
     BOUNDARY_SIDE,
     DensePointCloudBuffer,
     EnvMapLayer,
-    NearFieldBoundary,
     PointCloud,
     filter_boundary,
     generate_dense_cloud,
@@ -218,28 +217,36 @@ class TestBuffer:
         with pytest.raises(ValueError, match="does not tile"):
             DensePointCloudBuffer(1, np.zeros(3), [(96, 48), (40, 20)], 1)
 
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=24))
+    @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=24))
     @settings(max_examples=200, deadline=None)
-    def test_eviction_order_matches_model(self, ids):
+    def test_eviction_order_matches_model(self, inserts):
         """Reference model: dict preserving insertion order, re-insert
-        moves to newest, overflow drops the oldest."""
+        moves to newest, overflow drops the oldest. A view with no point
+        inside the boundary cube takes a slot like any other, and its slot
+        holds no point."""
         buf = _buffer(3)
-        model: dict[int, None] = {}
-        for vid in ids:
-            buf.insert_view(vid, self._one_point())
+        model: dict[int, bool] = {}
+        for vid, outside in inserts:
+            positions = ([[0.0, 0.0, 1.5], [0.0, -2.0, 0.25]] if outside
+                         else [[0.5, vid / 8, -0.25]])
+            buf.insert_view(vid, _cloud(positions, np.full((len(positions), 3), vid / 5)))
             model.pop(vid, None)
-            model[vid] = None
+            model[vid] = outside
             if len(model) > 3:
                 model.pop(next(iter(model)))
-        assert len(buf) <= 3
-        assert sorted(buf.view_ids()) == sorted(model)
+            assert sorted(buf.view_ids()) == sorted(model)
+            assert [len(buf.get_view(v)) for v in model] == [0 if out else 1
+                                                               for out in model.values()]
+            want = merge_multires(project_multires(buf.all_points(), np.zeros(3), [(8, 4)]),
+                                  (8, 4))
+            _assert_same_layers([buf.project()], [want])
 
     def test_replace_view_keeps_recency(self):
         buf = _buffer(3)
         for vid in (1, 2, 3):
-            buf.insert_view(vid, self._one_point(vid))
+            buf.insert_view(vid, self._one_point(vid / 4))
         old = buf.get_view(1)
-        new = self._one_point(10.0)
+        new = self._one_point(0.9)
         assert buf.replace_view(1, old, new)
         assert buf.get_view(1) is new
         # view 1 is still the oldest, so it goes first
@@ -248,13 +255,34 @@ class TestBuffer:
 
     def test_replace_view_of_a_replaced_cloud_is_dropped(self):
         buf = _buffer(3)
-        buf.insert_view(1, self._one_point(1.0))
+        buf.insert_view(1, self._one_point(0.25))
         old = buf.get_view(1)
-        newer = self._one_point(2.0)
+        newer = self._one_point(0.5)
         buf.insert_view(1, newer)
-        assert not buf.replace_view(1, old, self._one_point(3.0))
+        assert not buf.replace_view(1, old, self._one_point(0.75))
         assert buf.get_view(1) is newer
-        assert not buf.replace_view(5, old, self._one_point(3.0))
+        assert not buf.replace_view(5, old, self._one_point(0.75))
+
+    def test_insert_keeps_the_float64_boundary_rule(self):
+        # rec_pos x = -1.5 * 2**-24 and the edge point's x = 1 - 2**-24 are
+        # exact in float32. Their offset is 1 + 2**-25 in float64, just
+        # outside the cube; in float32 it rounds to 1.0, on its face.
+        rec = np.array([-1.5 * 2.0 ** -24, 0.0, 0.0])
+        levels = [(16, 8)]
+        cloud = _cloud([[0.0, 0.5, 0.0], [1.0 - 2.0 ** -24, 0.0, 0.0], [0.0, 0.0, -0.5]],
+                       [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        edge = cloud.positions[1]
+        assert edge[0] - np.float32(rec[0]) == np.float32(1.0)
+        edge_hit = project_multires(cloud.select([1]), rec, levels)[0].valid
+        buf = DensePointCloudBuffer(1, rec, levels, len(cloud))
+        buf.insert_view(0, cloud)
+        kept = cloud.select([0, 2])
+        assert np.array_equal(buf.get_view(0).positions, kept.positions)
+        assert np.array_equal(buf.get_view(0).colors, kept.colors)
+        got = buf.project()
+        want = merge_multires(project_multires(kept, rec, levels), levels[0])
+        _assert_same_layers([got], [want])
+        assert got.valid.sum() == 2 and not got.valid[edge_hit].any()
 
     def _views(self, count, n=100, seed=0):
         rng = np.random.default_rng(seed)
@@ -300,7 +328,7 @@ class TestBuffer:
 # ── filter_boundary ──────────────────────────────────────────────────────
 
 class TestFilterBoundary:
-    B = NearFieldBoundary(center=np.zeros(3))
+    B = np.zeros(3)
 
     def test_center_retained(self):
         out = filter_boundary(_cloud([[0, 0, 0]]), self.B)
@@ -327,21 +355,21 @@ class TestFilterBoundary:
         # An off-centre cube whose faces are exact in float32, points on
         # the faces, one float32 step to either side of them, and beyond.
         rng = np.random.default_rng(4)
-        b = NearFieldBoundary(center=np.array([0.25, -1.5, 0.125]))
+        center = np.array([0.25, -1.5, 0.125])
         half = BOUNDARY_SIDE / 2.0
         n = 30_000
-        pos = (b.center + rng.uniform(-1.5, 1.5, (n, 3))).astype(np.float32)
+        pos = (center + rng.uniform(-1.5, 1.5, (n, 3))).astype(np.float32)
         axis = rng.integers(0, 3, n)
-        face = (b.center[axis] + rng.choice([-half, half], n)).astype(np.float32)
+        face = (center[axis] + rng.choice([-half, half], n)).astype(np.float32)
         step = rng.integers(-1, 2, n)
         face[step > 0] = np.nextafter(face[step > 0], np.float32(np.inf))
         face[step < 0] = np.nextafter(face[step < 0], np.float32(-np.inf))
         on_face = rng.random(n) < 0.5
         pos[on_face, axis[on_face]] = face[on_face]
         cloud = PointCloud(pos, rng.random((n, 3)))
-        keep = np.max(np.abs(cloud.positions - b.center), axis=1) <= half
+        keep = np.max(np.abs(cloud.positions - center), axis=1) <= half
         assert 0 < keep.sum() < n
-        out = filter_boundary(cloud, b)
+        out = filter_boundary(cloud, center)
         assert np.array_equal(out.positions, cloud.positions[keep])
         assert np.array_equal(out.colors, cloud.colors[keep])
 

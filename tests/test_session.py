@@ -30,7 +30,6 @@ from litfield import nearfield
 from litfield.nearfield import (
     BOUNDARY_SIDE,
     EnvMapLayer,
-    NearFieldBoundary,
     PointCloud,
     filter_boundary,
     merge_multires,
@@ -549,8 +548,7 @@ REC_EXACT = np.array([0.25, 1.5, -0.125])  # exact in float32
 def _whole_buffer_near_map(sess):
     """The near map of one projection of all buffered points."""
     cfg = sess.config
-    boundary = NearFieldBoundary(sess.rec_pos)
-    points = filter_boundary(sess.buffer.all_points(), boundary)
+    points = filter_boundary(sess.buffer.all_points(), sess.rec_pos)
     layers = project_multires(points, sess.rec_pos, list(cfg.multires_levels))
     merged = merge_multires(layers, cfg.multires_levels[0])
     return resample_nearest(merged, *cfg.envmap_res)
@@ -560,8 +558,7 @@ class TestIncrementalNearMap:
     @pytest.mark.parametrize("name", list(INCREMENTAL_CONFIGS) + ["high-split"])
     def test_bit_identical_to_whole_buffer_projection(self, name, monkeypatch):
         if name == "high-split":
-            # each view's boundary-index key pass and the layer fill in
-            # three parts
+            # each view's key pass and the layer fill in three parts
             monkeypatch.setattr(nearfield, "_MIN_PART", 512)
             monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 3)
         cfg = INCREMENTAL_CONFIGS[name.removesuffix("-split")]
@@ -656,6 +653,24 @@ class TestRegistration:
         after = sess.reproject_near()
         assert np.array_equal(after.color, before.color)
         assert np.array_equal(after.valid, before.valid)
+
+    def test_correction_out_of_the_cube_keeps_only_in_cube_points(self):
+        scene = _small_room()
+        sess = _small_session()
+        sess.ingest_near(_frame(scene, (0.4, 1.4, 0.0), sess.rec_pos, view_id=0))
+        source = sess.buffer.get_view(0)
+        move = Pose(np.eye(3), np.array([-0.2, 0.0, 0.0]))
+        assert sess.apply_registration(0, move, source)
+        aligned = PointCloud(move.transform(source.positions), source.colors)
+        inside = np.abs(aligned.positions - sess.rec_pos).max(axis=1) <= BOUNDARY_SIDE / 2
+        assert 0 < inside.sum() < len(source)
+        view = sess.buffer.get_view(0)
+        assert np.array_equal(view.positions, aligned.positions[inside])
+        assert np.array_equal(view.colors, source.colors[inside])
+        got = sess.reproject_near()
+        want = _whole_buffer_near_map(sess)
+        for attr in ("color", "distance", "valid"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 # ── isolation ────────────────────────────────────────────────────────────
