@@ -20,6 +20,9 @@ DEFAULT_TABLE_K = 32
 TILE = 16  # side of the square pixel tiles of a table's change index
 _KNN_GRID_HEIGHT = 24  # rows of the query cell grid of _knn_by_cosine
 _CHUNK = 16384  # pixels per block of the no-table extrapolation
+# Operator rows per chunk of a partial product: each pool worker copies
+# one chunk of rows (about 2 MB at K = 32) at a time.
+_ROW_CHUNK = 1 << 13
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -188,24 +191,30 @@ def _apply(op: sparse.csr_array, colors: np.ndarray, out: np.ndarray,
     op has a fixed number of entries per row, so the CSR of any row
     subset is a gather of those rows' slices, and each row is summed
     exactly as in the full product. The rows are split into parts, one
-    per core, since the CSR product releases the GIL.
+    per core, since the CSR product releases the GIL. A part of rows
+    gathers and multiplies _ROW_CHUNK of them at a time; the full
+    product takes each part's rows as views.
     """
     k = int(op.indptr[1])
     data = op.data.reshape(-1, k)
     indices = op.indices.reshape(-1, k)
     n = len(out) if rows is None else len(rows)
 
+    def product(sel, sub_data: np.ndarray, sub_indices: np.ndarray) -> None:
+        m = len(sub_data)
+        sub = sparse.csr_array((sub_data.reshape(-1), sub_indices.reshape(-1),
+                                op.indptr[:m + 1]), shape=(m, op.shape[1]))
+        out[sel] = sub @ colors
+
     def part(start: int, stop: int) -> None:
         if rows is None:
             sel = slice(start, stop)
-            sub_data, sub_indices = data[sel], indices[sel]
-        else:  # take, unlike fancy indexing, releases the GIL
-            sel = rows[start:stop]
-            sub_data, sub_indices = data.take(sel, axis=0), indices.take(sel, axis=0)
-        sub = sparse.csr_array((sub_data.reshape(-1), sub_indices.reshape(-1),
-                                op.indptr[:stop - start + 1]),
-                               shape=(stop - start, op.shape[1]))
-        out[sel] = sub @ colors
+            product(sel, data[sel], indices[sel])
+            return
+        for s in range(start, stop, _ROW_CHUNK):
+            sel = rows[s:min(s + _ROW_CHUNK, stop)]
+            # take, unlike fancy indexing, releases the GIL
+            product(sel, data.take(sel, axis=0), indices.take(sel, axis=0))
 
     parts = _parts(n * k)
     _run_parts(part, [(n * i // parts, n * (i + 1) // parts) for i in range(parts)])

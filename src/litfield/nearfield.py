@@ -310,14 +310,20 @@ def _inside(positions: np.ndarray, center) -> np.ndarray:
     in float64)."""
     center = np.asarray(center, dtype=np.float64).reshape(3)
     half = BOUNDARY_SIDE / 2.0
-    # One float64 coordinate at a time: the same arithmetic as the max of
-    # |positions - center| over the axes, without (n, 3) temporaries.
-    d = np.empty(len(positions))
-    inside = np.ones(len(positions), dtype=bool)
-    for axis in range(3):
-        np.subtract(positions[:, axis], center[axis], out=d, dtype=np.float64)
-        np.abs(d, out=d)
-        inside &= d <= half
+    # One float64 coordinate of one _CHUNK of points at a time: the same
+    # arithmetic as the max of |positions - center| over the axes, with
+    # temporaries of one chunk.
+    n = len(positions)
+    d = np.empty(min(n, _CHUNK))
+    inside = np.ones(n, dtype=bool)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        dc, ok = d[:stop - start], inside[start:stop]
+        for axis in range(3):
+            np.subtract(positions[start:stop, axis], center[axis], out=dc,
+                        dtype=np.float64)
+            np.abs(dc, out=dc)
+            ok &= dc <= half
     return inside
 
 
@@ -347,6 +353,11 @@ _MAX_POINTS = 1 << 32
 PROJECTION_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1)
 _MIN_PART = 1 << 17
+# A per-point pass (the key pass, the boundary test) runs over _CHUNK
+# points at a time: its temporaries take one chunk, whatever the view's
+# size (the key pass's about 1.3 MB per worker), and its ~25 passes over
+# a chunk stay in cache.
+_CHUNK = 1 << 15
 
 
 def _new_pool() -> None:
@@ -360,9 +371,9 @@ _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
-# The key pass's temporaries, kept per pool worker in thread-local storage
-# (one set per worker, however many threads project) and reused: fresh
-# ones fault their pages in, about 8 ms per HIGH near keyframe in the server.
+# The key pass's temporaries, one chunk's worth, kept per pool worker in
+# thread-local storage (one set per worker, however many threads project)
+# and reused: fresh ones fault their pages in.
 _scratch = threading.local()
 
 
@@ -548,8 +559,10 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
     positions, indexed 0..n-1; points coinciding with rec_pos (float32)
     scatter nothing.
 
-    Large inputs are split in parts on several threads; because keys
-    carry the index, the result does not depend on the split.
+    Large inputs are split in parts on several threads, and each part is
+    scattered a _CHUNK of points at a time; because keys carry the index
+    and a scatter-min does not depend on order, the result does not
+    depend on the split.
     """
     n = len(positions)
     if n > _MAX_POINTS:
@@ -559,10 +572,13 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
     maps = [np.full(w * h, _NO_POINT) for _ in range(parts)]
     if n == 0:
         return maps[0]
+
+    def scatter(start: int, stop: int, best: np.ndarray) -> None:
+        for s in range(start, stop, _CHUNK):
+            _scatter_keys(positions, s, min(s + _CHUNK, stop), rec_pos, level, best)
+
     bounds = [n * i // parts for i in range(parts + 1)]
-    _run_parts(_scatter_keys, [
-        (positions, bounds[i], bounds[i + 1], rec_pos, level, maps[i])
-        for i in range(parts)])
+    _run_parts(scatter, [(bounds[i], bounds[i + 1], maps[i]) for i in range(parts)])
     keys = maps[0]
     for other in maps[1:]:
         np.minimum(keys, other, out=keys)

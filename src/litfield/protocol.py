@@ -255,11 +255,14 @@ Packet = SessionInit | NearKeyframe | FarKeyframe | EnvMapResponse | ErrorPacket
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Reads fields off a packet buffer in order. Fields are views of the
+    buffer, not copies, so the arrays of a decoded packet share it."""
+
+    def __init__(self, buf):
+        self.buf = memoryview(buf)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise TruncatedPacketError(len(self.buf))
         out = self.buf[self.pos:self.pos + n]
@@ -333,17 +336,18 @@ def encode_packet(p: Packet) -> bytes:
     raise TypeError(f"not a packet: {type(p).__name__}")
 
 
-def decode_packet(buf: bytes) -> Packet:
-    """The packet buf encodes. Raises a LitFieldError for any buffer that
-    does not encode one: ProtocolError when a field's value is invalid
-    (odd image size, non-rigid pose, bad intrinsics)."""
+def decode_packet(buf) -> Packet:
+    """The packet buf (bytes, bytearray or a memoryview of bytes) encodes;
+    its arrays are views of buf. Raises a LitFieldError for any buffer
+    that does not encode one: ProtocolError when a field's value is
+    invalid (odd image size, non-rigid pose, bad intrinsics)."""
     try:
         return _decode(buf)
     except ValueError as e:
         raise ProtocolError(f"malformed packet: {e}") from e
 
 
-def _decode(buf: bytes) -> Packet:
+def _decode(buf) -> Packet:
     r = _Reader(buf)
     (kind,) = r.unpack("B")
     if kind == KIND_SESSION_INIT:
@@ -380,5 +384,5 @@ def _decode(buf: bytes) -> Packet:
         r.expect_end()
         return EnvMapResponse(session_id, w, h, rgb)
     if kind == KIND_ERROR:
-        return ErrorPacket(buf[1:].decode("utf-8", errors="replace"))
+        return ErrorPacket(str(r.buf[1:], "utf-8", errors="replace"))
     raise UnknownPacketKindError(f"unknown packet kind 0x{kind:02X}")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litfield import farfield
+from litfield import farfield, nearfield
 from litfield.farfield import (
     ExtrapolationMode,
     ExtrapolationTable,
@@ -394,6 +394,32 @@ class TestExtrapolate:
 def _full_product(a, table):
     return (table.operator @ a.colors.astype(np.float32)).reshape(
         table.height, table.width, 3)
+
+
+ROW_CHUNK = 64  # small chunks, so a 64x32 map's rows cross several
+
+
+class TestChunkedRows:
+    @pytest.mark.parametrize("count", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1,
+                                       3 * ROW_CHUNK + 17])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_subset_is_bit_equal_to_the_full_product(self, count, workers,
+                                                         monkeypatch):
+        # One part of rows, or two, each taken in chunks from its own start.
+        monkeypatch.setattr(farfield, "_ROW_CHUNK", ROW_CHUNK)
+        monkeypatch.setattr(nearfield, "_MIN_PART", 32)
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", workers)
+        rng = np.random.default_rng(count)
+        a = _gray_anchors(1280)
+        table = precompute_table(64, 32, a)
+        colors = rng.uniform(0, 1, (1280, 3)).astype(np.float32)
+        full = np.empty((64 * 32, 3), dtype=np.float32)
+        farfield._apply(table.operator, colors, full)
+        rows = rng.choice(64 * 32, count, replace=False)  # in no order
+        out = np.full_like(full, np.nan)
+        farfield._apply(table.operator, colors, out, rows)
+        assert np.array_equal(out[rows], full[rows])
+        assert np.isnan(np.delete(out, rows, axis=0)).all()
 
 
 class TestIncrementalExtrapolate:

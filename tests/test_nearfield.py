@@ -465,15 +465,17 @@ def _grid_cloud(n, seed):
     return PointCloud(positions, rng.uniform(0, 1, (n, 3))), cell
 
 
-def _oracle_winners(cloud, cell, w, h):
+def _oracle_winners(cloud, cell, w, h, skip=()):
     """Per pixel of a w x h level, the point that is nearest to
     SPLIT_REC, the lowest index among equally near ones: a lexsort by
-    (pixel, distance, index). Returns the hit pixels and their winners."""
+    (pixel, distance, index), over every point but those skip names.
+    Returns the hit pixels and their winners."""
     gy, gx = np.divmod(cell, 480)
     pixel = (gy * h // 240) * w + gx * w // 480
     dist = np.linalg.norm(cloud.positions.astype(np.float64) - SPLIT_REC,
                           axis=1)
     order = np.lexsort((np.arange(len(cell)), dist, pixel))
+    order = order[~np.isin(order, skip)]
     first = order[np.r_[True, pixel[order][1:] != pixel[order][:-1]]]
     return pixel[first], first
 
@@ -602,6 +604,29 @@ class TestSplitProjection:
         one_set = set_bytes_per_point * part
         assert held <= workers * one_set + one_set // 4
 
+    def test_key_pass_scratch_is_one_chunk(self, monkeypatch):
+        # A HIGH view's key pass in two parts, then two single-part MEDIUM
+        # ones: no worker asks for scratch of more than one chunk of points
+        # (the key takes two uint32 per point), whatever the part's size.
+        requests = []
+        buf = nearfield._buf
+
+        def recorded(name, n, dtype):
+            requests.append(n // 2 if name == "key" else n)
+            return buf(name, n, dtype)
+
+        monkeypatch.setattr(nearfield, "_buf", recorded)
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
+        rng = np.random.default_rng(14)
+        rec = np.float32([0.0, 0.3, 0.0])
+        for n, level, parts in ((1024 * 768, (1024, 512), 2),
+                                (512 * 384, (512, 256), 1),
+                                (512 * 384, (512, 256), 1)):
+            assert nearfield._parts(n) == parts
+            positions = rng.uniform(-0.9, 0.9, (n, 3)).astype(np.float32)
+            nearfield._project_keys(positions, rec, level)
+        assert max(requests) == nearfield._CHUNK
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_projects(self, monkeypatch):
         monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
@@ -621,6 +646,62 @@ class TestSplitProjection:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
+
+
+# ── per-point passes and chunk boundaries ───────────────────────────────
+
+CHUNK = 1000  # small chunks, so a few thousand points cross several
+
+
+class TestChunkBoundaries:
+    def test_key_map_matches_oracle_across_chunks(self, monkeypatch):
+        # Two parts of 1678 and 1679 points, each scattered in chunks of
+        # 1000 from its own start: the chunks end at 1000, 1678, 2678 and
+        # 3357, no multiple of the chunk size.
+        monkeypatch.setattr(nearfield, "_CHUNK", CHUNK)
+        monkeypatch.setattr(nearfield, "_MIN_PART", 1500)
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
+        n = 3 * CHUNK + 357
+        cloud, cell = _grid_cloud(n, seed=15)
+        dirs = equirect_pixel_dirs(480, 240).reshape(-1, 3)
+        # Exact ties nearer than any other point of their pixel, the two
+        # of each pair on either side of a chunk end.
+        for first in (CHUNK - 1, 2677):
+            cell[first + 1] = cell[first]
+            cloud.positions[first:first + 2] = SPLIT_REC + dirs[cell[first]] * 0.25
+        # Points on the reconstruction position, inside chunks, scatter
+        # nothing.
+        zero = [CHUNK // 2, 2 * CHUNK + 5]
+        cloud.positions[zero] = SPLIT_REC
+        rec = SPLIT_REC.astype(np.float32)
+        chunked = [nearfield._project_keys(cloud.positions, rec, level)
+                   for level in SPLIT_LEVELS]
+        for keys, (w, h) in zip(chunked, SPLIT_LEVELS):
+            pixels, winners = _oracle_winners(cloud, cell, w, h, skip=zero)
+            assert np.array_equal(np.flatnonzero(keys < nearfield._NO_POINT), pixels)
+            assert np.array_equal(keys[pixels] & 0xFFFFFFFF, winners)
+            assert {CHUNK - 1, 2677} <= set(winners)
+            assert not {CHUNK, 2678} & set(winners)
+        # one part of one chunk gives the same keys, distances included
+        monkeypatch.setattr(nearfield, "_CHUNK", n)
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 1)
+        for keys, level in zip(chunked, SPLIT_LEVELS):
+            assert np.array_equal(keys, nearfield._project_keys(cloud.positions, rec, level))
+
+    def test_boundary_test_covers_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(nearfield, "_CHUNK", CHUNK)
+        rng = np.random.default_rng(16)
+        n = 3 * CHUNK + 357
+        center = np.array([0.1, -0.2, 0.3])
+        positions = (center + rng.uniform(-1.5, 1.5, (n, 3))).astype(np.float32)
+        # each chunk, the tail included, starts inside and ends outside
+        positions[::CHUNK] = center
+        positions[CHUNK - 1::CHUNK] = center + 1.25
+        positions[-1] = center - 1.25
+        want = np.abs(positions.astype(np.float64) - center).max(axis=1) <= 1.0
+        assert 0 < want.sum() < n
+        assert np.array_equal(nearfield._inside(positions, center), want)
+        assert not nearfield._inside(positions[:0], center).size
 
 # ── merge_multires ───────────────────────────────────────────────────────
 

@@ -136,6 +136,24 @@ class TestRoundTrip:
         assert encode_packet(decode_packet(buf)) == buf
 
 
+class TestBufferTypes:
+    def test_bytes_bytearray_and_memoryview_decode_alike(self):
+        # service.read_frame hands the decoder a memoryview of a writable
+        # buffer; files and tests hand it bytes.
+        for packet in _equality_samples()[1:] + [ErrorPacket("h\u00e9llo")]:
+            buf = encode_packet(packet)
+            writable = memoryview(np.frombuffer(buf, np.uint8).copy())
+            for form in (buf, bytearray(buf), memoryview(buf), writable):
+                assert decode_packet(form) == packet, (type(packet), type(form))
+
+    def test_near_frame_arrays_are_views_of_the_buffer(self):
+        near = _equality_samples()[2]
+        buf = np.frombuffer(encode_packet(near), np.uint8).copy()
+        got = decode_packet(memoryview(buf))
+        for plane in (got.color.y, got.color.cb, got.color.cr, got.depth, got.confidence):
+            assert np.shares_memory(plane, buf)
+
+
 # ── equality ─────────────────────────────────────────────────────────────
 
 def _gray(w, h):

@@ -277,6 +277,36 @@ class TestErrors:
         finally:
             raw.close()
 
+    def test_read_frame_fills_one_buffer_of_the_declared_length(self):
+        payload = bytes(range(256)) * 1000  # over several recv calls
+
+        def send(sock):
+            write_frame(sock, payload)
+            sock.sendall(struct.pack("<I", 10) + payload[:4])
+            sock.shutdown(socket.SHUT_WR)
+
+        a, b = socket.socketpair()
+        with a, b:
+            writer = threading.Thread(target=send, args=(a,))
+            writer.start()
+            got = read_frame(b)
+            writer.join(timeout=10.0)
+            assert not writer.is_alive()
+            assert len(got) == len(payload) and got == payload
+            assert got[1:5] == payload[1:5]
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                read_frame(b)  # 4 of 10 declared bytes, then EOF
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(struct.pack("<I", 0)[:2])
+            a.shutdown(socket.SHUT_WR)
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                read_frame(b)  # EOF inside the length prefix
+        a, b = socket.socketpair()
+        with a, b:
+            a.shutdown(socket.SHUT_WR)
+            assert read_frame(b) is None  # EOF at a frame boundary
+
     def test_server_down_is_connection_error(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))

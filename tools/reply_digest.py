@@ -14,6 +14,11 @@ Each line holds the variant, the reply count, the SHA-256 of the packets
 sent and the SHA-256 of every reply frame. Two builds answer alike exactly
 when they print the same lines. Exits nonzero on an error reply.
 
+The cache is keyed on a digest of the program's sources, so every source
+edit renders the inputs again (36 MB per `high-orbit` seed). Before
+loading, this tool deletes the cached entries of the same workload and
+seed rendered from other sources.
+
     python3 tools/reply_digest.py --workload high-orbit --seed 1
 
 Run from anywhere; the program's sources are taken from this checkout.
@@ -25,6 +30,8 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shutil
 import socket
 import sys
 
@@ -68,14 +75,28 @@ def play(packets: list[tuple[str, bytes]]) -> list[str]:
     return digests
 
 
+def prune_cache(cache_dir: str, workload: str, seed: int, src_dir: str) -> None:
+    """Delete the cache entries <workload>-<seed>-<digest> of cache_dir
+    whose digest is not that of the sources in src_dir."""
+    if not os.path.isdir(cache_dir):
+        return
+    current = inputs_mod._source_digest(src_dir)
+    entry = re.compile(re.escape(f"{workload}-{seed}-") + "([0-9a-f]{16})")
+    for name in os.listdir(cache_dir):
+        match = entry.fullmatch(name)
+        if match and match.group(1) != current:
+            shutil.rmtree(os.path.join(cache_dir, name))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=list(inputs_mod.SPECS))
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args()
-    packets = inputs_mod.load_inputs(args.workload, args.seed,
-                                     os.path.join(ROOT, "src", "litfield"),
-                                     os.path.join(ROOT, ".bench_cache")).packets
+    src_dir = os.path.join(ROOT, "src", "litfield")
+    cache_dir = os.path.join(ROOT, ".bench_cache")
+    prune_cache(cache_dir, args.workload, args.seed, src_dir)
+    packets = inputs_mod.load_inputs(args.workload, args.seed, src_dir, cache_dir).packets
     for variant, sent in (("as-sent", packets), ("low-confidence", low_confidence(packets))):
         sent_digest = hashlib.sha256()
         for _, payload in sent:
