@@ -5,6 +5,15 @@ environment maps at a chosen reconstruction position. See the geometry
 module docstring for coordinate conventions.
 """
 
+import os
+
+# OpenBLAS reads this when numpy loads it, so it is set before any import
+# below that loads numpy. Projection work is split over litfield's own
+# per-process pool; a threaded BLAS call would start workers that keep
+# spinning on the same cores after the call returns. setdefault keeps any
+# value the operator sets.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .capture import (CapturePolicyConfig, GateDecision, GuidancePlan, MotionGate,
                       PoseSample, motion_gate, plan_guided_movement)
 from .farfield import (ExtrapolationMode, ExtrapolationTable, UnitSphereAnchorSet,

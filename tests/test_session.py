@@ -7,6 +7,8 @@ against their exact published values.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 
@@ -837,3 +839,56 @@ class TestKeptReply:
         check("registration of 1")
         sess.reproject_near()
         check("reprojection after the registration of 1")
+
+
+# Imports litfield first, as `litfield serve` does, runs one far splat (its
+# 768x1280 cosine product is the one BLAS call on the serving path that
+# OpenBLAS would thread), then prints the thread setting and the CPU the
+# process spends while its main thread sleeps for 50 ms.
+_BLAS_PROBE = """
+import os, time
+import litfield
+import numpy as np
+from litfield import farfield
+dirs = np.random.default_rng(0).normal(size=(768, 3))
+dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+farfield.splat_to_anchors(farfield.UnitSphereAnchorSet.create(), dirs,
+                          np.ones((768, 3)))
+start = time.process_time()
+time.sleep(0.05)
+print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+      (time.process_time() - start) * 1e3)
+"""
+
+
+def _blas_probe(threads: str | None) -> tuple[str, float]:
+    """The thread setting and the sleep's CPU ms of _BLAS_PROBE in a fresh
+    interpreter, started with OPENBLAS_NUM_THREADS unset or set to threads."""
+    src = os.path.dirname(os.path.dirname(farfield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    setting, cpu_ms = out.stdout.split()
+    return setting, float(cpu_ms)
+
+
+class TestBlasThreads:
+    """The projection pool is a serving process's only parallelism:
+    importing litfield pins OpenBLAS to one thread unless the operator
+    chose a count."""
+
+    @pytest.mark.skipif(nearfield.PROJECTION_WORKERS < 2,
+                        reason="OpenBLAS starts no worker threads on one core")
+    def test_import_pins_blas_to_one_thread(self):
+        setting, cpu_ms = _blas_probe(None)
+        assert setting == "1"
+        # a threaded product leaves its workers spinning: ~48 ms of CPU
+        # during the 50 ms sleep on a 2-core host, against ~0.1 ms pinned
+        assert cpu_ms <= 10.0
+
+    def test_operator_setting_is_kept(self):
+        assert _blas_probe("2")[0] == "2"

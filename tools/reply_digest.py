@@ -38,9 +38,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-import inputs as inputs_mod  # noqa: E402
+# litfield before inputs, which loads numpy: importing litfield first sets
+# the BLAS thread policy that `litfield serve` runs with
 from litfield import protocol  # noqa: E402
 from litfield.service import Server, ServerConfig, read_frame, write_frame  # noqa: E402
+import inputs as inputs_mod  # noqa: E402
 
 
 def low_confidence(packets: list[tuple[str, bytes]]) -> list[tuple[str, bytes]]:
