@@ -369,5 +369,5 @@ def extrapolate(anchors: UnitSphereAnchorSet, target: tuple[int, int],
 
     return EnvMapLayer(width, height,
                        out.reshape(height, width, 3),
-                       np.broadcast_to(np.inf, (height, width)),
+                       np.broadcast_to(np.float32(np.inf), (height, width)),
                        np.broadcast_to(True, (height, width)))

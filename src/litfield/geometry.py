@@ -69,6 +69,8 @@ class Pose:
             raise ValueError("rotation is not orthonormal")
         if not math.isclose(float(np.linalg.det(r)), 1.0, abs_tol=1e-6):
             raise ValueError("rotation must have determinant +1")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 

@@ -238,15 +238,15 @@ MIN_CONFIDENCE = 2  # the confidence byte a dense-cloud pixel needs
 
 @dataclass
 class EnvMapLayer:
-    """One projected equirectangular layer: color, per-pixel distance to
-    the reconstruction position, and validity. Invalid pixels carry
-    distance +inf and color 0. A near layer's colors are the uint8 colors
-    of its points; the far map's are float32."""
+    """One projected equirectangular layer: color, per-pixel float32
+    distance to the reconstruction position, and validity. Invalid pixels
+    carry distance +inf and color 0. A near layer's colors are the uint8
+    colors of its points; the far map's are float32."""
 
     width: int
     height: int
     color: np.ndarray     # (height, width, 3)
-    distance: np.ndarray  # (height, width), +inf where invalid
+    distance: np.ndarray  # (height, width) float32, +inf where invalid
     valid: np.ndarray     # (height, width) bool
 
     @staticmethod
@@ -254,7 +254,7 @@ class EnvMapLayer:
         """The near layer no point reached."""
         return EnvMapLayer(width, height,
                            np.zeros((height, width, 3), dtype=np.uint8),
-                           np.full((height, width), np.inf),
+                           np.full((height, width), np.inf, dtype=np.float32),
                            np.zeros((height, width), dtype=bool))
 
 
@@ -337,11 +337,12 @@ def filter_boundary(cloud: PointCloud, center) -> PointCloud:
     return cloud if inside.all() else cloud.select(np.flatnonzero(inside))
 
 
-# Key-map value of a pixel no point landed on. Its upper half is above
-# the bits of every distance, so it is above every point's key, and so is
-# any value it reaches when a view's index offset is added to its lower
-# half: a key is a hit exactly when it is below _NO_POINT.
-_NO_POINT = np.uint64(0xFFFFFFFF00000000)
+# Key-map value of a pixel no point landed on: the bits of float32 +inf
+# above index 0. Its upper half is above the bits of every finite
+# distance, so it is above every point's key, and a key is a hit exactly
+# when it is below _NO_POINT; a miss's distance reads +inf and its index
+# 0 gathers from a nonempty source.
+_NO_POINT = np.uint64(0x7F800000_00000000)
 # A key's lower half holds a point index, so one projection takes at most
 # this many points.
 _MAX_POINTS = 1 << 32
@@ -355,8 +356,8 @@ PROJECTION_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffi
 _MIN_PART = 1 << 17
 # A per-point pass (the key pass, the boundary test) runs over _CHUNK
 # points at a time: its temporaries take one chunk, whatever the view's
-# size (the key pass's about 1.3 MB per worker), and its ~25 passes over
-# a chunk stay in cache.
+# size (the key pass's 40 bytes a point, about 1.3 MB), and its ~25
+# passes over a chunk stay in cache.
 _CHUNK = 1 << 15
 
 
@@ -371,11 +372,6 @@ _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
-# The key pass's temporaries, one chunk's worth, kept per pool worker in
-# thread-local storage (one set per worker, however many threads project)
-# and reused: fresh ones fault their pages in.
-_scratch = threading.local()
-
 
 def _parts(items: int) -> int:
     return max(1, min(PROJECTION_WORKERS, items // _MIN_PART))
@@ -388,37 +384,28 @@ def _run_parts(fn, jobs: list[tuple]) -> list:
     return [f.result() for f in futures]
 
 
-def _buf(name: str, n: int, dtype) -> np.ndarray:
-    bufs = _scratch.__dict__
-    arr = bufs.get(name)
-    if arr is None or arr.size < n or arr.dtype != dtype:
-        arr = bufs[name] = np.empty(max(n, 1), dtype)
-    return arr[:n]
-
-
 def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndarray,
-                  level: tuple[int, int], best: np.ndarray) -> None:
+                  level: tuple[int, int], best: np.ndarray,
+                  lock: threading.Lock) -> None:
     """Scatter-min the keys of points start..stop-1 into the flat key map
-    best of the level (w, h), with temporaries from the thread's _scratch.
+    best of the level (w, h), holding lock for the scatter.
 
     A key is the point's float32 distance bits above its index, so one
     scatter-min resolves both the winning distance and which point
     produced it, and equal distances break toward the lower index.
     Distances are non-negative, so the float32 bit pattern orders like
-    the value. Because indices are global, the element-wise minimum of
-    the maps of disjoint parts is the map of their union. Points
-    coincident with rec_pos have no direction and scatter nothing.
+    the value. Because indices are global and a scatter-min does not
+    depend on order, chunks of disjoint parts scatter into one map.
+    Points coincident with rec_pos have no direction, and a point at a
+    float32 distance of +inf has a key at or above _NO_POINT: neither
+    scatters anything.
     """
     n = stop - start
     pos = positions[start:stop]
-    x = _buf("x", n, np.float32)
-    y = _buf("y", n, np.float32)
-    z = _buf("z", n, np.float32)
+    x, y, z, dist, tmpf = np.empty((5, n), dtype=np.float32)
     np.subtract(pos[:, 0], rec_pos[0], out=x)
     np.subtract(pos[:, 1], rec_pos[1], out=y)
     np.subtract(pos[:, 2], rec_pos[2], out=z)
-    dist = _buf("dist", n, np.float32)
-    tmpf = _buf("tmpf", n, np.float32)
     np.multiply(x, x, out=dist)
     np.multiply(y, y, out=tmpf)
     dist += tmpf
@@ -427,7 +414,7 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndar
     np.sqrt(dist, out=dist)
 
     # Two little-endian uint32 halves avoid widening and shifting passes.
-    halves = _buf("key", 2 * n, np.uint32).reshape(n, 2)
+    halves = np.empty((n, 2), dtype=np.uint32)
     halves[:, 0] = np.arange(start, stop, dtype=np.uint32)
     halves[:, 1] = dist.view(np.uint32)
     key = halves.view(np.uint64).reshape(n)
@@ -436,10 +423,8 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndar
         key[zero] = _NO_POINT
         dist[zero] = 1.0  # any finite direction; their key scatters nothing
 
-    # All stages write into reused scratch so the pass count stays at a
-    # handful.
     np.negative(z, out=z)
-    theta_frac = _buf("theta", n, np.float32)
+    theta_frac = np.empty(n, dtype=np.float32)
     np.arctan2(x, z, out=theta_frac)
     theta_frac *= np.float32(0.5 / np.pi)
     theta_frac += np.float32(1.0)
@@ -458,8 +443,7 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndar
     phi_frac *= np.float32(1.0 / np.pi)
 
     w, h = level
-    px = _buf("px", n, np.int32)
-    flat = _buf("py", n, np.int32)
+    px, flat = np.empty((2, n), dtype=np.int32)
     # theta_frac*w floors into [w/2, 3w/2]; subtracting w/2 centers the
     # forward direction, and the single value that lands on w is the wrap
     # back to column 0.
@@ -474,7 +458,8 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndar
     np.minimum(flat, np.int32(h - 1), out=flat)
     flat *= np.int32(w)
     flat += px
-    np.minimum.at(best, flat, key)
+    with lock:
+        np.minimum.at(best, flat, key)
 
 
 def _block_min(keys: np.ndarray, w: int, h: int, r: int) -> np.ndarray:
@@ -511,24 +496,22 @@ def _gather(sources: list[tuple[int, np.ndarray]], idx: np.ndarray,
 def _layer(keys: np.ndarray, w: int, h: int,
            sources: list[tuple[int, np.ndarray]]) -> EnvMapLayer:
     """The w x h layer of the flat key map keys: a hit pixel takes its
-    winning point's color (gathered from sources, see _gather) and
-    distance. The pixels are filled in parts on several threads."""
-    layer = EnvMapLayer(w, h, np.empty((h, w, 3), dtype=np.uint8), np.empty((h, w)),
+    winning point's color (gathered from sources, see _gather). The
+    distance is a float32 view of the keys' upper halves, +inf at a miss.
+    The colors are filled in parts on several threads."""
+    halves = keys.view(np.uint32).reshape(-1, 2)
+    layer = EnvMapLayer(w, h, np.empty((h, w, 3), dtype=np.uint8),
+                        halves[:, 1].view(np.float32).reshape(h, w),
                         np.empty((h, w), dtype=bool))
     color = layer.color.reshape(-1, 3)
-    distance = layer.distance.reshape(-1)
     valid = layer.valid.reshape(-1)
 
     def fill(s: int, e: int) -> None:
-        halves = keys[s:e].view(np.uint32).reshape(-1, 2)
         np.less(keys[s:e], _NO_POINT, out=valid[s:e])
-        _gather(sources, halves[:, 0], color[s:e])
-        # The winning distance rides in the key's upper half.
-        distance[s:e] = halves[:, 1].view(np.float32)
+        _gather(sources, halves[s:e, 0], color[s:e])
         miss = ~valid[s:e]
         if miss.any():
             color[s:e][miss] = 0
-            distance[s:e][miss] = np.inf
 
     parts = _parts(w * h)
     _run_parts(fill, [(w * h * i // parts, w * h * (i + 1) // parts) for i in range(parts)])
@@ -559,29 +542,26 @@ def _project_keys(positions: np.ndarray, rec_pos: np.ndarray,
     positions, indexed 0..n-1; points coinciding with rec_pos (float32)
     scatter nothing.
 
-    Large inputs are split in parts on several threads, and each part is
-    scattered a _CHUNK of points at a time; because keys carry the index
-    and a scatter-min does not depend on order, the result does not
-    depend on the split.
+    Large inputs are split in parts on several threads, and each part
+    scatters a _CHUNK of points at a time into the one key map; because
+    keys carry the index and a scatter-min does not depend on order, the
+    result does not depend on the split. The scatters take turns under a
+    lock.
     """
     n = len(positions)
     if n > _MAX_POINTS:
         raise PointCapacityError(f"cannot project {n} points, over {_MAX_POINTS}")
-    parts = _parts(n)
     w, h = level
-    maps = [np.full(w * h, _NO_POINT) for _ in range(parts)]
-    if n == 0:
-        return maps[0]
+    keys = np.full(w * h, _NO_POINT)
+    lock = threading.Lock()
 
-    def scatter(start: int, stop: int, best: np.ndarray) -> None:
+    def scatter(start: int, stop: int) -> None:
         for s in range(start, stop, _CHUNK):
-            _scatter_keys(positions, s, min(s + _CHUNK, stop), rec_pos, level, best)
+            _scatter_keys(positions, s, min(s + _CHUNK, stop), rec_pos, level, keys, lock)
 
+    parts = _parts(n)
     bounds = [n * i // parts for i in range(parts + 1)]
-    _run_parts(scatter, [(bounds[i], bounds[i + 1], maps[i]) for i in range(parts)])
-    keys = maps[0]
-    for other in maps[1:]:
-        np.minimum(keys, other, out=keys)
+    _run_parts(scatter, list(zip(bounds, bounds[1:])))
     return keys
 
 

@@ -33,6 +33,8 @@ FRAME_CAP = 64 * 1024 * 1024  # bytes
 # the least recently used one. A bare HIGH session holds about 16 MB
 # besides the far table it shares (15.8 MB by tracemalloc, MEDIUM 4.0 MB).
 MAX_SESSIONS = 8
+# Live connections per server: more get one error frame and are closed.
+MAX_CONNECTIONS = 32
 
 # The preset byte of a SessionInit; CUSTOM asks for the server's default.
 PRESET_TO_BYTE = {Preset.LOW: 0, Preset.MEDIUM: 1, Preset.HIGH: 2, Preset.CUSTOM: 3}
@@ -86,7 +88,6 @@ def _read_into(sock: socket.socket, buf: memoryview, eof_ok: bool = False) -> bo
 class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral
-    max_connections: int = 32  # more get one error frame and are closed
     icp_enabled: bool = False
     default_preset: Preset = Preset.HIGH
 
@@ -111,7 +112,7 @@ class _Handler(socketserver.BaseRequestHandler):
         cfg: ServerConfig = self.server.cfg
         if not self.server.slots.acquire(blocking=False):
             self._send(state, protocol.ErrorPacket(
-                f"server at its limit of {cfg.max_connections} connections"))
+                f"server at its limit of {MAX_CONNECTIONS} connections"))
             return
         try:
             while True:
@@ -235,7 +236,7 @@ class Server:
     def __init__(self, cfg: ServerConfig = ServerConfig()):
         self._tcp = _Server((cfg.host, cfg.port), _Handler)
         self._tcp.cfg = cfg
-        self._tcp.slots = threading.BoundedSemaphore(cfg.max_connections)
+        self._tcp.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
 
     @property

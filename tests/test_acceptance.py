@@ -205,7 +205,7 @@ def test_criterion_05_projection_throughput():
 
     gc.collect()
     times = []
-    for _ in range(6):  # first runs warm the scratch buffers
+    for _ in range(6):  # the first run warms the pool and the allocator
         t0 = time.perf_counter()
         layers = nearfield.project_multires(cloud, rec, levels)
         merged = nearfield.merge_multires(layers, levels[0])

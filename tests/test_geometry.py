@@ -73,6 +73,14 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(refl, np.zeros(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, value):
+        for axis in range(3):
+            t = np.zeros(3)
+            t[axis] = value
+            with pytest.raises(ValueError, match="translation must be finite"):
+                Pose(np.eye(3), t)
+
     def test_compose_inverse_is_identity(self):
         p = Pose(_rot_y(33.0), np.array([0.4, -0.2, 1.0]))
         q = p.compose(p.inverse())

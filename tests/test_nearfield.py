@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from litfield import nearfield
 from litfield.errors import DegenerateGeometryError, NoOverlapError, PointCapacityError
+from litfield.farfield import UnitSphereAnchorSet, extrapolate, precompute_table
 from litfield.geometry import (ColorImage, DepthImage, Intrinsics, Pose,
                                camera_ray, equirect_pixel_dirs, unproject)
 from litfield.nearfield import (
@@ -430,6 +431,14 @@ class TestProjectMultires:
         for c in layer.color[layer.valid]:
             assert tuple(np.round(c, 12)) in palette
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_point_at_infinite_float32_distance_scatters_nothing(self):
+        # Its key's upper half is the bits of +inf, those of a miss.
+        cloud = _cloud([[3e38, 0, -3e38], [0, 0, -1.0]], [[1, 0, 0], [0, 1, 0]])
+        layer = project_multires(cloud, np.zeros(3), [(8, 4)])[0]
+        assert layer.valid.sum() == 1
+        assert np.array_equal(layer.color[2, 4], [0, 255, 0])
+
     def test_poles_land_in_column_zero(self):
         cloud = _cloud([[0, 1.0, 0], [0, -1.0, 0]], [[1, 1, 1], [1, 1, 1]])
         layer = project_multires(cloud, np.zeros(3), [(8, 4)])[0]
@@ -565,9 +574,10 @@ class TestSplitProjection:
             for layers in got[i]:
                 _assert_same_layers(layers, want[i])
 
-    def test_live_callers_hold_one_scratch_set_per_pool_worker(self, monkeypatch):
-        # The key pass's scratch: six float32 and two int32 arrays and one
-        # uint64 key per point of a part.
+    def test_live_callers_hold_no_scratch(self, monkeypatch):
+        # The key pass's temporaries, six float32 and two int32 arrays and
+        # one uint64 key per point of a chunk, are freed with the chunk:
+        # callers that wait, holding their layers, hold nothing else.
         set_bytes_per_point = 40
         workers = nearfield.PROJECTION_WORKERS
         part = 1 << 15
@@ -599,33 +609,32 @@ class TestSplitProjection:
         finally:
             release.set()
             tracemalloc.stop()
-        held -= sum(a.nbytes for layers in results for layer in layers
-                    for a in (layer.color, layer.distance, layer.valid))
+        # a layer's float32 distance is a view of its uint64 key map
+        held -= sum(layer.color.nbytes + 2 * layer.distance.nbytes + layer.valid.nbytes
+                    for layers in results for layer in layers)
         one_set = set_bytes_per_point * part
-        assert held <= workers * one_set + one_set // 4
+        assert held <= one_set // 4
 
-    def test_key_pass_scratch_is_one_chunk(self, monkeypatch):
-        # A HIGH view's key pass in two parts, then two single-part MEDIUM
-        # ones: no worker asks for scratch of more than one chunk of points
-        # (the key takes two uint32 per point), whatever the part's size.
-        requests = []
-        buf = nearfield._buf
-
-        def recorded(name, n, dtype):
-            requests.append(n // 2 if name == "key" else n)
-            return buf(name, n, dtype)
-
-        monkeypatch.setattr(nearfield, "_buf", recorded)
-        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
+    def test_key_pass_peaks_at_one_key_map_and_a_chunk_per_worker(self, monkeypatch):
+        # A HIGH view's key pass in two parts: one key map for the whole
+        # pass, and at any time one chunk of temporaries (40 bytes a point,
+        # see above) per worker, whatever the part's size.
+        workers = 2
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", workers)
+        n, level = 1024 * 768, (1024, 512)
+        assert nearfield._parts(n) == workers
         rng = np.random.default_rng(14)
+        positions = rng.uniform(-0.9, 0.9, (n, 3)).astype(np.float32)
         rec = np.float32([0.0, 0.3, 0.0])
-        for n, level, parts in ((1024 * 768, (1024, 512), 2),
-                                (512 * 384, (512, 256), 1),
-                                (512 * 384, (512, 256), 1)):
-            assert nearfield._parts(n) == parts
-            positions = rng.uniform(-0.9, 0.9, (n, 3)).astype(np.float32)
-            nearfield._project_keys(positions, rec, level)
-        assert max(requests) == nearfield._CHUNK
+        tracemalloc.start()
+        try:
+            keys = nearfield._project_keys(positions, rec, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_set = 40 * nearfield._CHUNK
+        assert keys.nbytes == 8 * 1024 * 512
+        assert peak <= keys.nbytes + workers * one_set + one_set // 4
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_projects(self, monkeypatch):
@@ -702,6 +711,63 @@ class TestChunkBoundaries:
         assert 0 < want.sum() < n
         assert np.array_equal(nearfield._inside(positions, center), want)
         assert not nearfield._inside(positions[:0], center).size
+
+
+# ── layer distances ──────────────────────────────────────────────────────
+
+class TestLayerDistance:
+    def _layers(self):
+        """Every kind of layer, with a split key pass and layer fill."""
+        cloud, _ = _grid_cloud(20_000, seed=17)
+        buf = DensePointCloudBuffer(3, SPLIT_REC, SPLIT_LEVELS, 1 << 16)
+        empty = DensePointCloudBuffer(3, SPLIT_REC, SPLIT_LEVELS, 1 << 16)
+        buf.insert_view(0, cloud.select(slice(0, 12_000)))
+        buf.insert_view(1, cloud.select(slice(12_000, None)))
+        near = project_multires(cloud, SPLIT_REC, SPLIT_LEVELS)
+        return {"project_multires": near,
+                "empty project_multires": project_multires(
+                    PointCloud.empty(), SPLIT_REC, SPLIT_LEVELS),
+                "buffer": [buf.project()], "empty buffer": [empty.project()],
+                "merge_multires": [merge_multires(near, SPLIT_LEVELS[0])],
+                "EnvMapLayer.empty": [EnvMapLayer.empty(8, 4)]}
+
+    def test_every_layer_distance_is_float32(self, monkeypatch):
+        monkeypatch.setattr(nearfield, "_MIN_PART", 500)
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
+        layers = self._layers()
+        anchors = UnitSphereAnchorSet.create(64)
+        table = precompute_table(32, 16, anchors, k=16)
+        layers["far map"] = [extrapolate(anchors, (32, 16)),
+                             extrapolate(anchors, (32, 16), table=table)]
+        for name, group in layers.items():
+            for layer in group:
+                assert layer.distance.dtype == np.float32, name
+                assert layer.distance.shape == (layer.height, layer.width), name
+
+    def test_distance_is_inf_exactly_where_invalid(self, monkeypatch):
+        monkeypatch.setattr(nearfield, "_MIN_PART", 500)
+        monkeypatch.setattr(nearfield, "PROJECTION_WORKERS", 2)
+        for name, group in self._layers().items():
+            for layer in group:
+                assert np.array_equal(np.isposinf(layer.distance), ~layer.valid), name
+                assert np.isfinite(layer.distance[layer.valid]).all(), name
+
+    def test_near_distance_is_the_winning_keys_upper_half(self):
+        cloud, _ = _grid_cloud(20_000, seed=18)
+        rec = SPLIT_REC.astype(np.float32)
+        finest = nearfield._project_keys(cloud.positions, rec, SPLIT_LEVELS[0])
+        layers = project_multires(cloud, SPLIT_REC, SPLIT_LEVELS)
+        for layer, r in zip(layers, (1, 2, 4)):
+            w, h = layer.width, layer.height
+            keys = finest if r == 1 else nearfield._block_min(finest, w, h, r)
+            upper = (keys >> np.uint64(32)).astype(np.uint32)
+            assert np.array_equal(layer.distance.reshape(-1).view(np.uint32), upper)
+        # and that half is the winner's float32 distance
+        layer = layers[0]
+        winners = (finest & np.uint64(0xFFFFFFFF))[layer.valid.reshape(-1)]
+        rel = cloud.positions[winners.astype(np.intp)] - rec
+        want = np.sqrt((rel * rel).sum(axis=1, dtype=np.float32))
+        assert np.allclose(layer.distance[layer.valid], want, rtol=1e-6, atol=0.0)
 
 # ── merge_multires ───────────────────────────────────────────────────────
 

@@ -274,11 +274,20 @@ class TestMalformed:
                 + struct.pack("<4f2H", fx, 15.0, 1.0, 1.0, w, h)
                 + bytes(w * h + 2 * ((w // 2) * (h // 2))))
 
-    @pytest.mark.parametrize("case", ["odd size", "scaled pose", "zero fx"])
+    @staticmethod
+    def _translated(x):
+        m = np.eye(4)
+        m[0, 3] = x
+        return m
+
+    @pytest.mark.parametrize("case", ["odd size", "scaled pose", "zero fx",
+                                      "nan translation", "inf translation"])
     def test_invalid_field_values_are_protocol_errors(self, case):
         buf = {"odd size": self._far_bytes(w=3, h=2),
                "scaled pose": self._far_bytes(matrix=2.0 * np.eye(4)),
-               "zero fx": self._far_bytes(fx=0.0)}[case]
+               "zero fx": self._far_bytes(fx=0.0),
+               "nan translation": self._far_bytes(matrix=self._translated(np.nan)),
+               "inf translation": self._far_bytes(matrix=self._translated(-np.inf))}[case]
         decode_packet(self._far_bytes())  # the unaltered bytes decode
         with pytest.raises(ProtocolError):
             decode_packet(buf)

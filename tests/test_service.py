@@ -260,6 +260,39 @@ class TestErrors:
                     env = client.send(good)
                     assert not np.allclose(env.pixels, 0.5, atol=1e-3)
 
+    def test_non_finite_pose_translation_gets_error_reply(self, server):
+        # A client can no longer build such a Pose, so the NaN is written
+        # into the encoded translation floats (column 3 of the
+        # column-major float32 matrix after kind, session and view ids).
+        scene = _room()
+        near = protocol.encode_packet(_near_packet(scene, (0.3, 1.4, 0.3)))
+        bad = bytearray(near)
+        bad[9 + 48:9 + 52] = struct.pack("<f", np.nan)
+        far = protocol.encode_packet(_far_packet(scene, (0.0, 1.4, 0.0),
+                                                 (0.0, 1.4, -3.0)))
+
+        def replies(frames):
+            raw = socket.create_connection(server.address, timeout=30.0)
+            raw.settimeout(30.0)
+            try:
+                out = []
+                for frame in frames:
+                    write_frame(raw, frame)
+                    out.append(protocol.decode_packet(read_frame(raw)))
+                return out
+            finally:
+                raw.close()
+
+        init = protocol.encode_packet(_init_packet())
+        want = replies([init, near, far])
+        got = replies([init, near, bytes(bad), far])
+        assert isinstance(got[2], protocol.ErrorPacket)
+        assert "translation must be finite" in got[2].message
+        # the connection keeps serving, and the refused frame changed
+        # nothing: the next reply is the one without it
+        assert isinstance(got[3], protocol.EnvMapResponse)
+        assert np.array_equal(got[3].rgb, want[2].rgb)
+
     def test_oversized_frame_rejected_client_side(self, server):
         raw = socket.create_connection(server.address, timeout=5.0)
         try:
@@ -317,8 +350,9 @@ class TestErrors:
 
 
 class TestConnectionLimit:
-    def test_connection_over_the_limit_is_refused(self):
-        with Server(ServerConfig(max_connections=1)) as srv:
+    def test_connection_over_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        with Server(ServerConfig()) as srv:
             first = client_connect(srv.address)
             try:
                 first.send(_init_packet())  # its handler holds the slot

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -892,3 +893,17 @@ class TestBlasThreads:
 
     def test_operator_setting_is_kept(self):
         assert _blas_probe("2")[0] == "2"
+
+    @pytest.mark.skipif(nearfield.PROJECTION_WORKERS < 2,
+                        reason="OpenBLAS starts no worker threads on one core")
+    def test_test_process_runs_pinned(self):
+        # tests/conftest.py imports litfield before any test module loads
+        # numpy, so the timed criteria run under the serving policy.
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+        dirs = np.random.default_rng(0).normal(size=(768, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        farfield.splat_to_anchors(farfield.UnitSphereAnchorSet.create(), dirs,
+                                  np.ones((768, 3)))
+        start = time.process_time()
+        time.sleep(0.05)
+        assert (time.process_time() - start) * 1e3 <= 10.0
