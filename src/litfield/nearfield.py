@@ -396,9 +396,9 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndar
     Distances are non-negative, so the float32 bit pattern orders like
     the value. Because indices are global and a scatter-min does not
     depend on order, chunks of disjoint parts scatter into one map.
-    Points coincident with rec_pos have no direction, and a point at a
-    float32 distance of +inf has a key at or above _NO_POINT: neither
-    scatters anything.
+    A point coincident with rec_pos or with a NaN coordinate has no
+    direction, and one at a float32 distance of +inf none that is finite:
+    none of them scatters anything.
     """
     n = stop - start
     pos = positions[start:stop]
@@ -418,10 +418,13 @@ def _scatter_keys(positions: np.ndarray, start: int, stop: int, rec_pos: np.ndar
     halves[:, 0] = np.arange(start, stop, dtype=np.uint32)
     halves[:, 1] = dist.view(np.uint32)
     key = halves.view(np.uint64).reshape(n)
-    if float(dist.min()) <= 0.0:
-        zero = dist <= 0.0
-        key[zero] = _NO_POINT
-        dist[zero] = 1.0  # any finite direction; their key scatters nothing
+    # a NaN distance fails every comparison, so it takes this branch too
+    if not (0.0 < float(dist.min()) and float(dist.max()) < np.inf):
+        bad = ~((dist > 0.0) & (dist < np.inf))
+        key[bad] = _NO_POINT
+        for c in (x, y, z):  # any finite direction; their key scatters nothing
+            c[bad] = 0.0
+        dist[bad] = 1.0
 
     np.negative(z, out=z)
     theta_frac = np.empty(n, dtype=np.float32)

@@ -3,10 +3,11 @@
 Each frame is a u32 little-endian payload length followed by one encoded
 packet. Every inbound keyframe (including session init) is answered with
 exactly one EnvMapResponse frame; malformed input is answered with an
-error frame (kind 0xFF) and the connection stays open. When ICP is
-enabled, an additional unsolicited EnvMapResponse may follow a near
-keyframe's primary response once registration completes; registration
-starts only after the primary response is written.
+error frame (kind 0xFF) and the connection stays open. A connection that
+sends nothing for IDLE_TIMEOUT_S, or stalls inside a frame, is closed.
+When ICP is enabled, an additional unsolicited EnvMapResponse may follow
+a near keyframe's primary response once registration completes;
+registration starts only after the primary response is written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -35,6 +37,14 @@ FRAME_CAP = 64 * 1024 * 1024  # bytes
 MAX_SESSIONS = 8
 # Live connections per server: more get one error frame and are closed.
 MAX_CONNECTIONS = 32
+# A connection is closed when no byte arrives for IDLE_TIMEOUT_S between
+# frames, or when a frame is not complete FRAME_TIMEOUT_S after its length
+# prefix, so silent or stalled clients cannot hold every slot. The idle
+# limit sits well above a pause in capture, and the frame limit lets a
+# 5.1 MB HIGH near keyframe arrive over a 0.25 Mbit/s uplink. The idle
+# limit also bounds each reply write to a client that stops reading.
+IDLE_TIMEOUT_S = 300.0
+FRAME_TIMEOUT_S = 180.0
 
 # The preset byte of a SessionInit; CUSTOM asks for the server's default.
 PRESET_TO_BYTE = {Preset.LOW: 0, Preset.MEDIUM: 1, Preset.HIGH: 2, Preset.CUSTOM: 3}
@@ -54,9 +64,13 @@ def write_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(struct.pack("<I", len(payload)) + payload)
 
 
-def read_frame(sock: socket.socket) -> memoryview | None:
+def read_frame(sock: socket.socket,
+               frame_timeout: float | None = None) -> memoryview | None:
     """Read one frame's payload into a buffer of its declared length; None
-    on clean EOF at a frame boundary."""
+    on clean EOF at a frame boundary. The prefix waits as long as the
+    socket's timeout allows. Given frame_timeout, the payload must complete
+    within that many seconds of the prefix, else TimeoutError; the
+    socket's timeout is restored once it has."""
     header = bytearray(4)
     if not _read_into(sock, memoryview(header), eof_ok=True):
         return None
@@ -67,14 +81,26 @@ def read_frame(sock: socket.socket) -> memoryview | None:
     # become resident only as recv_into writes them, so a declared but
     # unsent length reserves no memory.
     payload = memoryview(np.empty(length, dtype=np.uint8))
-    _read_into(sock, payload)
+    if frame_timeout is None:
+        _read_into(sock, payload)
+    else:
+        timeout = sock.gettimeout()
+        _read_into(sock, payload, deadline=time.monotonic() + frame_timeout)
+        sock.settimeout(timeout)
     return payload
 
 
-def _read_into(sock: socket.socket, buf: memoryview, eof_ok: bool = False) -> bool:
-    """Fill buf from sock; False on EOF before its first byte if eof_ok."""
+def _read_into(sock: socket.socket, buf: memoryview, eof_ok: bool = False,
+               deadline: float | None = None) -> bool:
+    """Fill buf from sock; False on EOF before its first byte if eof_ok.
+    Given a time.monotonic() deadline, raise TimeoutError once it passes."""
     got = 0
     while got < len(buf):
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0.0:
+                raise TimeoutError("frame not complete in time")
+            sock.settimeout(left)
         n = sock.recv_into(buf[got:])
         if not n:
             if eof_ok and got == 0:
@@ -110,6 +136,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         state = _ConnectionState()
         cfg: ServerConfig = self.server.cfg
+        self.request.settimeout(IDLE_TIMEOUT_S)
         if not self.server.slots.acquire(blocking=False):
             self._send(state, protocol.ErrorPacket(
                 f"server at its limit of {MAX_CONNECTIONS} connections"))
@@ -117,8 +144,8 @@ class _Handler(socketserver.BaseRequestHandler):
         try:
             while True:
                 try:
-                    payload = read_frame(self.request)
-                except (ProtocolError, ConnectionError, OSError):
+                    payload = read_frame(self.request, FRAME_TIMEOUT_S)
+                except (ProtocolError, OSError):
                     break
                 if payload is None:
                     break
@@ -142,11 +169,18 @@ class _Handler(socketserver.BaseRequestHandler):
             self.server.slots.release()
 
     def _send(self, state: _ConnectionState, packet: protocol.Packet) -> bool:
-        """Write one packet frame; False if the connection is gone."""
+        """Write one packet frame; False if the connection is gone. A write
+        that fails, on a timeout too, may leave part of a frame on the
+        stream, so it also shuts the connection down; that ends the request
+        loop even when a registration thread made the write."""
         try:
             with state.send_lock:
                 write_frame(self.request, protocol.encode_packet(packet))
-        except (ConnectionError, OSError):
+        except OSError:
+            try:
+                self.request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             return False
         return True
 
@@ -157,8 +191,13 @@ class _Handler(socketserver.BaseRequestHandler):
             preset = preset_of_byte(packet.preset)
             if preset is Preset.CUSTOM:
                 preset = cfg.default_preset
+            config = preset_config(preset)
+            if tuple(packet.envmap_res) != config.envmap_res:
+                (w, h), (pw, ph) = packet.envmap_res, config.envmap_res
+                raise ProtocolError(
+                    f"envmap_res {w}x{h} is not the {preset.value} preset's {pw}x{ph}")
             sess = session_mod.create_session(
-                packet.rec_pos, preset_config(preset), packet.native_res,
+                packet.rec_pos, config, packet.native_res,
                 packet.ambient, session_id=packet.session_id)
             state.sessions.pop(packet.session_id, None)
             if len(state.sessions) >= MAX_SESSIONS:

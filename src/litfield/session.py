@@ -7,7 +7,6 @@ import enum
 import itertools
 import threading
 import time
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -24,26 +23,22 @@ FAR_CAPTURE_RES = (32, 24)
 _session_ids = itertools.count(1)
 _session_ids_lock = threading.Lock()
 
-# Extrapolation tables of live sessions, keyed by map size. Every session's
-# anchors are the same Fibonacci lattice, so sessions with equal map sizes
-# have equal tables and share one; a table never changes once built, so
-# sessions on any thread use it without a lock. A table is freed with the
-# last session that uses it.
-_tables: "weakref.WeakValueDictionary[tuple, farfield.ExtrapolationTable]" = \
-    weakref.WeakValueDictionary()
+# Extrapolation tables, keyed by map size, each built once and kept for the
+# life of the process. Every session's anchors are the same Fibonacci
+# lattice, so the map size is the whole key, and the presets reach two
+# sizes. The build runs under the lock, so no size is built twice; a table
+# never changes once built, so sessions on any thread use it without a lock.
+_tables: dict[tuple[int, int], farfield.ExtrapolationTable] = {}
 _tables_lock = threading.Lock()
 
 
-def _extrapolation_table(envmap_res: tuple[int, int],
-                         anchors: UnitSphereAnchorSet) -> farfield.ExtrapolationTable:
-    """The shared table of a live session with this map size, or a new one."""
+def _extrapolation_table(envmap_res: tuple[int, int]) -> farfield.ExtrapolationTable:
+    """The table of this map size, built on its first use."""
     with _tables_lock:
-        table = _tables.get(envmap_res)
-    if table is None:
-        table = farfield.precompute_table(*envmap_res, anchors)
-        with _tables_lock:
-            table = _tables.setdefault(envmap_res, table)
-    return table
+        if envmap_res not in _tables:
+            _tables[envmap_res] = farfield.precompute_table(
+                *envmap_res, UnitSphereAnchorSet.create())
+        return _tables[envmap_res]
 
 
 class Preset(enum.Enum):
@@ -149,7 +144,7 @@ class ReconstructionSession:
                                             list(config.multires_levels), cw * ch)
         self.anchors = UnitSphereAnchorSet.create()
         farfield.fill_unobserved(self.anchors, self.ambient)
-        self._table = _extrapolation_table(config.envmap_res, self.anchors)
+        self._table = _extrapolation_table(config.envmap_res)
         w, h = config.envmap_res
         self.near_map = EnvMapLayer.empty(w, h)
         # the float32 anchor colors the far map was last computed from

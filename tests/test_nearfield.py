@@ -431,13 +431,20 @@ class TestProjectMultires:
         for c in layer.color[layer.valid]:
             assert tuple(np.round(c, 12)) in palette
 
+    # A float32 distance of +inf, or a NaN or infinite coordinate, gives no
+    # finite direction: such a point gets the key of a miss, with no
+    # out-of-range pixel and no invalid float->int cast.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error:invalid value encountered:RuntimeWarning")
     def test_point_at_infinite_float32_distance_scatters_nothing(self):
-        # Its key's upper half is the bits of +inf, those of a miss.
-        cloud = _cloud([[3e38, 0, -3e38], [0, 0, -1.0]], [[1, 0, 0], [0, 1, 0]])
-        layer = project_multires(cloud, np.zeros(3), [(8, 4)])[0]
-        assert layer.valid.sum() == 1
-        assert np.array_equal(layer.color[2, 4], [0, 255, 0])
+        for far in ([3e38, 0, -3e38],
+                    [np.nan, 0, -1], [0, np.nan, -1], [0, 0, np.nan],
+                    [np.inf, 0, -1], [-np.inf, 0, -1], [0, np.inf, -1],
+                    [0, -np.inf, -1], [0, 0, np.inf], [0, 0, -np.inf]):
+            cloud = _cloud([far, [0, 0, -1.0]], [[1, 0, 0], [0, 1, 0]])
+            layer = project_multires(cloud, np.zeros(3), [(8, 4)])[0]
+            assert layer.valid.sum() == 1, far
+            assert np.array_equal(layer.color[2, 4], [0, 255, 0]), far
 
     def test_poles_land_in_column_zero(self):
         cloud = _cloud([[0, 1.0, 0], [0, -1.0, 0]], [[1, 1, 1], [1, 1, 1]])

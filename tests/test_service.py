@@ -17,7 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from litfield import protocol, service
+from litfield import farfield, protocol, service
+from litfield import session as session_mod
 from litfield.errors import ProtocolError
 from litfield.geometry import CameraFrame, ColorImage, Intrinsics, Pose
 from litfield.harness.scene import (
@@ -54,9 +55,17 @@ def _room() -> SyntheticScene:
         {name: FaceAppearance(color=c) for name, c in colors.items()})
 
 
-def _init_packet(session_id=1, preset=0):
-    return protocol.SessionInit(session_id, REC, preset, (512, 256), K_NEAR,
+def _init_packet(session_id=1, preset=0, envmap_res=(512, 256)):
+    return protocol.SessionInit(session_id, REC, preset, envmap_res, K_NEAR,
                                 (64, 48), np.array([0.5, 0.5, 0.5]))
+
+
+def _closed_by_server(sock) -> bool:
+    """True once the server closes sock; TimeoutError if it does not."""
+    try:
+        return read_frame(sock) is None
+    except ConnectionResetError:  # closed with bytes of ours unread
+        return True
 
 
 def _near_packet(scene, eye, session_id=1, view_id=0):
@@ -196,6 +205,27 @@ class TestErrors:
             assert np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
             env = client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
             assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+
+    def test_envmap_res_other_than_the_presets_gets_error_reply(self, server):
+        low = service.PRESET_TO_BYTE[Preset.LOW]
+        custom = service.PRESET_TO_BYTE[Preset.CUSTOM]  # the server default, HIGH
+
+        def far(sid):
+            return _far_packet(_room(), (0.0, 1.4, 0.0), (0.0, 1.4, -3.0), session_id=sid)
+
+        with client_connect(server.address) as client:
+            client.send(_init_packet(session_id=1, preset=low))
+            with pytest.raises(ProtocolError,
+                               match="envmap_res 1024x512 is not the low preset's 512x256"):
+                client.send(_init_packet(session_id=2, preset=low, envmap_res=(1024, 512)))
+            with pytest.raises(ProtocolError,
+                               match="envmap_res 512x256 is not the high preset's 1024x512"):
+                client.send(_init_packet(session_id=1, preset=custom))
+            # neither opened nor replaced a session
+            with pytest.raises(ProtocolError, match="unknown session 2"):
+                client.send(far(2))
+            env = client.send(far(1))
+            assert (env.width, env.height) == (512, 256)
 
     def test_near_frame_of_another_size_than_native_res(self, server):
         # The session was opened for 64x48 frames; a 32x24 near frame fits
@@ -388,6 +418,106 @@ class TestConnectionLimit:
             assert isinstance(reply, protocol.EnvMapResponse)
 
 
+class TestIdleAndStalledConnections:
+    def test_silent_connections_do_not_keep_a_client_out(self, monkeypatch):
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 2)
+        monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.5)
+        with Server(ServerConfig()) as srv:
+            silent = [socket.create_connection(srv.address, timeout=10.0)
+                      for _ in range(2)]
+            try:
+                for raw in silent:
+                    assert _closed_by_server(raw)
+            finally:
+                for raw in silent:
+                    raw.close()
+            # the closes released both slots
+            with client_connect(srv.address) as client:
+                assert client.send(_init_packet()).width == 512
+
+    def test_frame_that_stalls_after_its_prefix_closes_its_connection(self, monkeypatch):
+        monkeypatch.setattr(service, "FRAME_TIMEOUT_S", 0.5)
+        with Server(ServerConfig()) as srv, \
+                socket.create_connection(srv.address, timeout=10.0) as raw:
+            raw.sendall(struct.pack("<I", 1000) + bytes(10))
+            assert _closed_by_server(raw)
+
+    def test_frame_that_trickles_in_is_closed_at_the_frame_limit(self, monkeypatch):
+        # every gap is under both limits; the frame as a whole is not
+        monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(service, "FRAME_TIMEOUT_S", 0.5)
+        with Server(ServerConfig()) as srv, \
+                socket.create_connection(srv.address, timeout=10.0) as raw:
+            raw.sendall(struct.pack("<I", 1000))
+            for _ in range(100):  # 10 s of one byte per 0.1 s
+                try:
+                    raw.sendall(b"\0")
+                except OSError:
+                    break
+                time.sleep(0.1)
+            assert _closed_by_server(raw)
+
+    def test_client_that_stops_reading_is_closed(self, monkeypatch):
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.5)
+        payload = protocol.encode_packet(_init_packet())  # a 384 KB reply each
+        frame = struct.pack("<I", len(payload)) + payload
+        with Server(ServerConfig()) as srv:
+            with socket.socket() as raw:
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+                raw.settimeout(10.0)
+                raw.connect(srv.address)
+                raw.sendall(frame * 100)  # far more replies than the buffers hold
+                time.sleep(2.0)  # and read none of them meanwhile
+                while not _closed_by_server(raw):
+                    pass
+            # the close released the only slot
+            with client_connect(srv.address) as client:
+                assert client.send(_init_packet()).width == 512
+
+    def test_client_that_keeps_sending_frames_is_never_closed(self, monkeypatch):
+        monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(service, "FRAME_TIMEOUT_S", 0.5)
+        payload = protocol.encode_packet(
+            _far_packet(_room(), (0.0, 1.4, 0.0), (0.0, 1.4, -3.0)))
+        frame = struct.pack("<I", len(payload)) + payload
+        with Server(ServerConfig()) as srv, \
+                socket.create_connection(srv.address, timeout=10.0) as raw:
+            write_frame(raw, protocol.encode_packet(_init_packet()))
+            replies = [protocol.decode_packet(read_frame(raw))]
+            # 4 s in all, each gap and each frame under both limits
+            for _ in range(10):
+                time.sleep(0.2)
+                raw.sendall(frame[:100])
+                time.sleep(0.2)
+                raw.sendall(frame[100:])
+                replies.append(protocol.decode_packet(read_frame(raw)))
+        assert all(isinstance(r, protocol.EnvMapResponse) for r in replies)
+
+
+class TestFarTables:
+    def test_alternating_presets_build_each_table_once(self, server, monkeypatch):
+        # An empty cache of the module's own kind, so earlier tests' tables
+        # do not count.
+        monkeypatch.setattr(session_mod, "_tables", type(session_mod._tables)())
+        built = []
+        precompute = farfield.precompute_table
+
+        def counted(*args, **kwargs):
+            built.append(args[:2])
+            return precompute(*args, **kwargs)
+
+        monkeypatch.setattr(farfield, "precompute_table", counted)
+        high = service.PRESET_TO_BYTE[Preset.HIGH]
+        with client_connect(server.address, timeout=60.0) as client:
+            for _ in range(3):
+                client.send(_init_packet(0, high, (1024, 512)))
+                # the last of these evicts the HIGH session
+                for sid in range(1, service.MAX_SESSIONS + 1):
+                    client.send(_init_packet(sid))
+        assert sorted(built) == [(512, 256), (1024, 512)]
+
+
 class TestPresetBytes:
     @pytest.mark.parametrize("default, byte, preset", [
         (Preset.LOW, 3, Preset.LOW),
@@ -398,7 +528,8 @@ class TestPresetBytes:
     def test_custom_takes_the_server_default(self, default, byte, preset):
         with Server(ServerConfig(default_preset=default)) as srv, \
                 client_connect(srv.address, timeout=30.0) as client:
-            env = client.send(_init_packet(preset=byte))
+            env = client.send(_init_packet(preset=byte,
+                                           envmap_res=preset_config(preset).envmap_res))
         assert (env.width, env.height) == preset_config(preset).envmap_res
 
     def test_byte_codec_round_trips(self):

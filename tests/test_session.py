@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from litfield import farfield, protocol
+from litfield import session as session_mod
 from litfield.capture import plan_guided_movement
 from litfield.errors import ConfigurationError, InvalidDepthError, PointCapacityError
 from litfield.geometry import (CameraFrame, ColorImage, DepthImage, Intrinsics, Pose,
@@ -773,6 +774,40 @@ class TestIncrementalFarMap:
         for d in plan_guided_movement(np.array([0.0, 0.0, -1.0]), 9).directions:
             sess.ingest_far(render_rgbd(scene, look_at(rec, rec + d.to_unit()), K_FAR))
             assert np.array_equal(sess.far_map.color, _far_product(sess))
+
+
+class TestFarTables:
+    def test_racing_first_inits_of_a_size_build_one_table(self, monkeypatch):
+        # An empty cache of the module's own kind: this size is new to it.
+        monkeypatch.setattr(session_mod, "_tables", type(session_mod._tables)())
+        built = []
+        both_building = threading.Barrier(2, timeout=1.0)
+        precompute = farfield.precompute_table
+
+        def slow_precompute(*args, **kwargs):
+            # Builds that race meet here; a lone build waits out the timeout.
+            built.append(args[:2])
+            try:
+                both_building.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return precompute(*args, **kwargs)
+
+        monkeypatch.setattr(farfield, "precompute_table", slow_precompute)
+        start = threading.Barrier(2, timeout=10.0)
+        sessions = [None, None]
+
+        def init(i):
+            start.wait()
+            sessions[i] = _small_session()
+
+        threads = [threading.Thread(target=init, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert built == [(128, 64)]
+        assert sessions[0]._table is sessions[1]._table is session_mod._tables[(128, 64)]
 
 
 # ── kept reply ───────────────────────────────────────────────────────────
