@@ -243,12 +243,7 @@ def _knn_by_cosine(normals: np.ndarray, directions: np.ndarray,
     cy = np.clip((phi / math.pi * gh).astype(np.int64), 0, gh - 1)
     cell = cy * gw + cx
 
-    tc = (np.arange(gw) + 0.5) / gw * 2.0 * math.pi - math.pi
-    pc = (np.arange(gh) + 0.5) / gh * math.pi
-    sp = np.sin(pc)[:, None]
-    centers = np.stack([(sp * np.sin(tc)[None, :]).ravel(),
-                        np.repeat(np.cos(pc), gw),
-                        (-sp * np.cos(tc)[None, :]).ravel()], axis=1)
+    centers = equirect_pixel_dirs(gw, gh).reshape(-1, 3)
 
     tree = cKDTree(directions)
     d_k, _ = tree.query(centers, k=[k], workers=-1)  # k=[k]: (cells, 1) even at k = 1

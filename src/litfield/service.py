@@ -30,7 +30,14 @@ from .session import EnvironmentMap, Preset, ReconstructionSession, preset_confi
 
 log = logging.getLogger(__name__)
 
-FRAME_CAP = 64 * 1024 * 1024  # bytes
+# The largest valid frame, in bytes: a near keyframe of the largest preset
+# capture size, which no session's native_res exceeds. Past its ids, pose,
+# intrinsics and size, such a frame holds 6.5 bytes a pixel: YCbCr 4:2:0
+# color (1.5), float32 depth (4) and confidence (1). That is 5,111,901 B
+# at HIGH's 1024x768; a HIGH reply is 1,572,873 B.
+FRAME_CAP = struct.calcsize("<BII16f4f2H") + 13 * max(
+    w * h for w, h in (preset_config(p).near_capture_res
+                       for p in (Preset.LOW, Preset.MEDIUM, Preset.HIGH))) // 2
 # Live sessions per connection: a SessionInit for a new id past it evicts
 # the least recently used one. A bare HIGH session holds about 16 MB
 # besides the far table it shares (15.8 MB by tracemalloc, MEDIUM 4.0 MB).
@@ -118,12 +125,12 @@ class ServerConfig:
     default_preset: Preset = Preset.HIGH
 
 
-class _ConnectionState:
-    """Per-connection session map, least recently used first, plus a lock
-    serializing socket writes (the ICP worker thread shares the socket
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: its sessions, least recently used first, and a lock
+    serializing socket writes (a registration thread shares the socket
     with the request loop)."""
 
-    def __init__(self):
+    def setup(self):
         self.sessions: OrderedDict[int, ReconstructionSession] = OrderedDict()
         self.send_lock = threading.Lock()
         self.icp_threads: list[threading.Thread] = []
@@ -131,14 +138,11 @@ class _ConnectionState:
         # reply is written
         self.pending_icp: threading.Thread | None = None
 
-
-class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
-        state = _ConnectionState()
         cfg: ServerConfig = self.server.cfg
         self.request.settimeout(IDLE_TIMEOUT_S)
         if not self.server.slots.acquire(blocking=False):
-            self._send(state, protocol.ErrorPacket(
+            self._send(protocol.ErrorPacket(
                 f"server at its limit of {MAX_CONNECTIONS} connections"))
             return
         try:
@@ -150,31 +154,31 @@ class _Handler(socketserver.BaseRequestHandler):
                 if payload is None:
                     break
                 try:
-                    reply = self._dispatch(state, cfg, payload)
+                    reply = self._dispatch(cfg, payload)
                 except LitFieldError as e:
                     reply = protocol.ErrorPacket(str(e))
                 except Exception as e:  # noqa: BLE001 - the server must survive fuzzing
                     log.exception("unexpected error handling frame")
                     reply = protocol.ErrorPacket(f"internal error: {e}")
-                if not self._send(state, reply):
+                if not self._send(reply):
                     break
-                if state.pending_icp is not None:
-                    state.icp_threads = [t for t in state.icp_threads if t.is_alive()]
-                    state.icp_threads.append(state.pending_icp)
-                    state.pending_icp.start()
-                    state.pending_icp = None
-            for t in state.icp_threads:
+                if self.pending_icp is not None:
+                    self.icp_threads = [t for t in self.icp_threads if t.is_alive()]
+                    self.icp_threads.append(self.pending_icp)
+                    self.pending_icp.start()
+                    self.pending_icp = None
+            for t in self.icp_threads:
                 t.join(timeout=1.0)
         finally:
             self.server.slots.release()
 
-    def _send(self, state: _ConnectionState, packet: protocol.Packet) -> bool:
+    def _send(self, packet: protocol.Packet) -> bool:
         """Write one packet frame; False if the connection is gone. A write
         that fails, on a timeout too, may leave part of a frame on the
         stream, so it also shuts the connection down; that ends the request
         loop even when a registration thread made the write."""
         try:
-            with state.send_lock:
+            with self.send_lock:
                 write_frame(self.request, protocol.encode_packet(packet))
         except OSError:
             try:
@@ -184,8 +188,7 @@ class _Handler(socketserver.BaseRequestHandler):
             return False
         return True
 
-    def _dispatch(self, state: _ConnectionState, cfg: ServerConfig,
-                  payload: memoryview) -> protocol.Packet:
+    def _dispatch(self, cfg: ServerConfig, payload: memoryview) -> protocol.Packet:
         packet = protocol.decode_packet(payload)
         if isinstance(packet, protocol.SessionInit):
             preset = preset_of_byte(packet.preset)
@@ -199,19 +202,23 @@ class _Handler(socketserver.BaseRequestHandler):
             sess = session_mod.create_session(
                 packet.rec_pos, config, packet.native_res,
                 packet.ambient, session_id=packet.session_id)
-            state.sessions.pop(packet.session_id, None)
-            if len(state.sessions) >= MAX_SESSIONS:
-                state.sessions.popitem(last=False)
-            state.sessions[packet.session_id] = sess
+            self.sessions.pop(packet.session_id, None)
+            if len(self.sessions) >= MAX_SESSIONS:
+                self.sessions.popitem(last=False)
+            self.sessions[packet.session_id] = sess
             return _map_response(sess)
         if isinstance(packet, (protocol.NearKeyframe, protocol.FarKeyframe)):
-            sess = state.sessions.get(packet.session_id)
+            sess = self.sessions.get(packet.session_id)
             if sess is None:
                 return protocol.ErrorPacket(f"unknown session {packet.session_id}")
-            state.sessions.move_to_end(packet.session_id)
+            self.sessions.move_to_end(packet.session_id)
             size = (packet.intrinsics.width, packet.intrinsics.height)
+            # a frame of the wrong size is refused before it is decoded
             if isinstance(packet, protocol.NearKeyframe) and size != sess.native_res:
                 raise ProtocolError(f"near frame size {size} != native_res {sess.native_res}")
+            if isinstance(packet, protocol.FarKeyframe) and size != session_mod.FAR_CAPTURE_RES:
+                raise ProtocolError(
+                    f"far frame size {size} != {session_mod.FAR_CAPTURE_RES}")
             try:
                 frame = packet.to_camera_frame()
             except ValueError as e:
@@ -223,37 +230,35 @@ class _Handler(socketserver.BaseRequestHandler):
             icp = cfg.icp_enabled
             with sess.lock:
                 prior = sess.buffer.all_points() if icp else None
+                before = sess.buffer.get_view(packet.view_id)
                 sess.ingest_near(frame)
                 source = sess.buffer.get_view(packet.view_id)
                 reply = _map_response(sess)
-            if icp and source is not None and len(prior) >= 3:
-                state.pending_icp = self._registration(state, sess, packet.view_id,
-                                                       source, prior)
+            # a frame that inserted no view leaves source as it was
+            if icp and source is not before and len(prior) >= 3:
+                self.pending_icp = threading.Thread(
+                    target=self._register, args=(sess, packet.view_id, source, prior),
+                    daemon=True)
             return reply
         return protocol.ErrorPacket(
             f"unexpected packet type {type(packet).__name__}")
 
-    def _registration(self, state: _ConnectionState, sess: ReconstructionSession,
-                      view_id: int, source, reference) -> threading.Thread:
-        """A worker thread, not yet started, that registers the cloud
-        source of view view_id against reference, then applies it and
-        sends the updated map, unless the view has received another cloud
-        meanwhile."""
-
-        def worker():
-            try:
-                result = register_icp(source, reference)
-            except LitFieldError as e:
-                log.debug("registration skipped for view %d: %s", view_id, e)
+    def _register(self, sess: ReconstructionSession, view_id: int, source,
+                  reference) -> None:
+        """Register the cloud source of view view_id against reference,
+        then apply it and send the updated map, unless the view has
+        received another cloud meanwhile. Runs on a thread of its own."""
+        try:
+            result = register_icp(source, reference)
+        except LitFieldError as e:
+            log.debug("registration skipped for view %d: %s", view_id, e)
+            return
+        with sess.lock:
+            if not sess.apply_registration(view_id, result.pose, source):
                 return
-            with sess.lock:
-                if not sess.apply_registration(view_id, result.pose, source):
-                    return
-                sess.reproject_near()
-                reply = _map_response(sess)
-            self._send(state, reply)
-
-        return threading.Thread(target=worker, daemon=True)
+            sess.reproject_near()
+            reply = _map_response(sess)
+        self._send(reply)
 
 
 def _map_response(sess: ReconstructionSession) -> protocol.EnvMapResponse:
@@ -327,15 +332,18 @@ class Client:
 
     def poll_update(self, timeout: float = 0.1) -> EnvironmentMap | None:
         """Wait briefly for an unsolicited map update (ICP refinement);
-        returns None if none arrives within the timeout."""
+        returns None if none begins within the timeout. An update once
+        begun is read to its end under the client's own timeout, so no
+        part of a frame is left on the stream."""
         old = self._sock.gettimeout()
         self._sock.settimeout(timeout)
         try:
-            return self._read_map()
-        except (TimeoutError, socket.timeout):
+            self._sock.recv(1, socket.MSG_PEEK)
+        except TimeoutError:
             return None
         finally:
             self._sock.settimeout(old)
+        return self._read_map()
 
     def _read_map(self) -> EnvironmentMap:
         try:

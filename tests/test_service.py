@@ -340,6 +340,55 @@ class TestErrors:
         finally:
             raw.close()
 
+    def test_frame_longer_than_any_keyframe_closes_connection(self, server):
+        raw = socket.create_connection(server.address, timeout=5.0)
+        raw.settimeout(5.0)
+        try:
+            raw.sendall(struct.pack("<I", 6 * 1024 * 1024))
+            assert raw.recv(1) == b""
+        finally:
+            raw.close()
+
+    def test_full_size_high_near_keyframe_is_answered(self, server):
+        # the largest valid frame is exactly the cap
+        high = service.PRESET_TO_BYTE[Preset.HIGH]
+        k = Intrinsics(fx=640.0, fy=640.0, cx=512.0, cy=384.0, width=1024, height=768)
+        init = protocol.SessionInit(1, REC, high, (1024, 512), k, (1024, 768),
+                                    np.array([0.5, 0.5, 0.5]))
+        frame = render_rgbd(_room(), look_at((0.3, 1.4, 0.3), REC), k)
+        near = protocol.NearKeyframe(
+            1, 0, frame.pose, k, protocol.rgb_to_ycbcr420(frame.color),
+            frame.depth.depth.astype(np.float32), frame.depth.confidence)
+        assert len(protocol.encode_packet(near)) == FRAME_CAP
+        with client_connect(server.address, timeout=60.0) as client:
+            client.send(init)
+            env = client.send(near)
+        assert (env.width, env.height) == (1024, 512)
+        assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+
+    def test_far_frame_of_another_size_is_refused_before_decoding(self, server,
+                                                                  monkeypatch):
+        decoded = []
+        decode = protocol.ycbcr420_to_rgb
+
+        def spy(img):
+            decoded.append((img.width, img.height))
+            return decode(img)
+
+        monkeypatch.setattr(protocol, "ycbcr420_to_rgb", spy)
+        frame = render_rgbd(_room(), look_at(REC, (0.0, 1.4, -3.0)), K_NEAR)
+        big = protocol.FarKeyframe(1, frame.pose, K_NEAR,
+                                   protocol.rgb_to_ycbcr420(frame.color))
+        with client_connect(server.address) as client:
+            client.send(_init_packet())
+            with pytest.raises(ProtocolError) as refused:
+                client.send(big)
+            assert decoded == []
+            assert str(refused.value) == "far frame size (64, 48) != (32, 24)"
+            env = client.send(_far_packet(_room(), REC, (0.0, 1.4, -3.0)))
+        assert decoded == [(32, 24)]
+        assert not np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
+
     def test_read_frame_fills_one_buffer_of_the_declared_length(self):
         payload = bytes(range(256)) * 1000  # over several recv calls
 
@@ -715,13 +764,13 @@ class TestIcpUpdates:
         writes = []
         update_written = threading.Event()
 
-        def held_send(handler, state, packet):
+        def held_send(handler, packet):
             if not request_thread:  # the SessionInit reply
                 request_thread.append(threading.get_ident())
             request = threading.get_ident() == request_thread[0]
             if request and len(writes) == 2:
                 update_written.wait(1.0)
-            ok = send(handler, state, packet)
+            ok = send(handler, packet)
             writes.append("reply" if request else "update")
             if not request:
                 update_written.set()
@@ -773,14 +822,14 @@ class TestIcpUpdates:
         # Each registration's update arrives before the next keyframe is
         # sent, so when a registration starts every earlier one has sent
         # its update; only the one that may still be returning is kept.
-        states = []
+        handlers = []
+        setup = service._Handler.setup
 
-        class RecordedState(service._ConnectionState):
-            def __init__(self):
-                super().__init__()
-                states.append(self)
+        def recorded_setup(handler):
+            setup(handler)
+            handlers.append(handler)
 
-        monkeypatch.setattr(service, "_ConnectionState", RecordedState)
+        monkeypatch.setattr(service._Handler, "setup", recorded_setup)
         scene = _room()
         eyes = [(0.3, 1.4, 0.3), (0.0, 1.4, 0.4), (-0.3, 1.4, 0.3),
                 (-0.4, 1.4, 0.0), (-0.3, 1.4, -0.3)]
@@ -792,8 +841,21 @@ class TestIcpUpdates:
                 # the first keyframe has nothing to align with
                 update = client.poll_update(5.0 if view_id else 0.2)
                 assert (update is None) == (view_id == 0)
-            (state,) = states
-            assert len(state.icp_threads) <= 2
+            (handler,) = handlers
+            assert len(handler.icp_threads) <= 2
+
+    def test_near_keyframe_that_inserts_no_view_starts_no_registration(self):
+        scene = _room()
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
+            near = _near_packet(scene, (0.0, 1.4, 0.4), view_id=1)
+            client.send(near)
+            assert client.poll_update(5.0) is not None
+            # no pixel is confident enough to keep: view 1 keeps its cloud
+            client.send(dataclasses.replace(near, confidence=np.zeros_like(near.confidence)))
+            assert client.poll_update(0.5) is None
 
     def test_no_updates_when_disabled(self, server):
         scene = _room()
@@ -802,6 +864,30 @@ class TestIcpUpdates:
             client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
             client.send(_near_packet(scene, (0.0, 1.4, 0.4), view_id=1))
             assert client.poll_update(0.3) is None
+
+
+class TestClient:
+    def test_update_that_arrives_in_parts_is_read_whole(self):
+        # The first update's first 6 bytes come at once and its rest 0.4 s
+        # later, with a second update, both over the first poll's timeout.
+        frames = b""
+        for value in (10, 20):
+            payload = protocol.encode_packet(protocol.EnvMapResponse(
+                1, 8, 4, np.full((4, 8, 3), value, dtype=np.uint8)))
+            frames += struct.pack("<I", len(payload)) + payload
+        with socket.create_server(("127.0.0.1", 0)) as listener, \
+                client_connect(listener.getsockname()) as client:
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(frames[:6])
+                rest = threading.Timer(0.4, conn.sendall, args=(frames[6:],))
+                rest.start()
+                try:
+                    maps = [client.poll_update(0.1), client.poll_update(1.0)]
+                finally:
+                    rest.join(timeout=10.0)
+            assert not rest.is_alive()
+        assert [None if m is None else int(m.to_uint8().max()) for m in maps] == [10, 20]
 
 
 class TestServeHelper:
