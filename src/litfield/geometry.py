@@ -156,10 +156,15 @@ class ColorImage:
         if pixels.dtype != np.uint8 and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             raise ValueError("pixel values must be finite and lie in [0, 1]")
 
+    def pixels_at(self, index: np.ndarray) -> np.ndarray:
+        """The (n, 3) values of pixels, uint8 or float64, at the flat
+        row-major indices index."""
+        return self.pixels.reshape(-1, 3)[index]
+
     def colors_at(self, index: np.ndarray) -> np.ndarray:
         """The (n, 3) float64 colors of the pixels at the flat row-major
         indices index."""
-        colors = self.pixels.reshape(-1, 3)[index]
+        colors = self.pixels_at(index)
         return colors / 255.0 if colors.dtype == np.uint8 else colors
 
 

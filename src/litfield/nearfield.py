@@ -80,12 +80,43 @@ class PointCloud:
 
 
 @dataclass
+class FrameCloud:
+    """Points of one frame whose colors stay in the frame until asked for:
+    positions (N, 3) float32 meters, pixels the flat row-major frame pixel
+    of each point (None: point i is pixel i), and color the frame's color
+    image. It selects and reads like a PointCloud; a buffer slot holding
+    one reads the colors of its winners alone."""
+
+    positions: np.ndarray
+    pixels: np.ndarray | None
+    color: ColorImage
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def select(self, idx: np.ndarray) -> "FrameCloud":
+        """The points at the integer indices idx."""
+        positions = _by_pixel(self.positions)[idx].view(np.float32).reshape(-1, 3)
+        return FrameCloud(positions, idx if self.pixels is None else self.pixels[idx],
+                          self.color)
+
+    @property
+    def colors(self) -> np.ndarray:
+        """The uint8 colors of the points, quantized as a PointCloud's."""
+        colors = (self.color.pixels.reshape(-1, 3) if self.pixels is None
+                  else self.color.pixels_at(self.pixels))
+        return colors if colors.dtype == np.uint8 else quantize(colors)
+
+
+@dataclass
 class _ViewSlot:
     view_id: int
     sequence: int
-    cloud: PointCloud  # the points of the view inside the boundary cube
+    # the points of the view inside the boundary cube; once projected, the
+    # winners among them alone
+    cloud: PointCloud | FrameCloud
     # the hit pixels of the finest level's flat key map of cloud, indexed
-    # by each point's position in cloud, and their keys; None until
+    # by each winner's position in cloud, and their keys; None until
     # projected
     keys: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -103,9 +134,11 @@ class DensePointCloudBuffer:
     level list, both fixed when it is built. A slot holds only the points
     of its view inside the boundary cube centered on rec_pos, the only
     ones that project; the empty and slot-capacity checks see the view as
-    given, so a view wholly outside the cube still takes a slot. Each
-    slot caches the projection of its cloud, so `project` projects a view
-    only when its cloud changes.
+    given, so a view wholly outside the cube still takes a slot. Once
+    projected, a slot keeps only the view's winners, the points that hit
+    a pixel of the first level, and their keys, so `project` projects a
+    view only when its cloud changes. A view is a PointCloud or a
+    FrameCloud; the colors of a FrameCloud are read for its winners alone.
     """
 
     def __init__(self, num_views: int, rec_pos: np.ndarray,
@@ -123,7 +156,7 @@ class DensePointCloudBuffer:
         self._slots: list[_ViewSlot] = []
         self._next_seq = 0
 
-    def insert_view(self, view_id: int, cloud: PointCloud) -> None:
+    def insert_view(self, view_id: int, cloud: PointCloud | FrameCloud) -> None:
         if len(cloud) == 0:
             raise ValueError("cannot insert an empty view")
         if len(cloud) > self.slot_capacity:
@@ -158,30 +191,24 @@ class DensePointCloudBuffer:
         bit, projecting only the views whose cloud changed since the last
         call.
 
-        A view's key map holds each point's index in its own cloud; the
-        view's offset in the concatenation is added at merge time. The
-        levels are merged on keys, and colors are gathered once, for the
-        merged map.
+        A view's key map holds each winner's index among its view's
+        winners; the view's offset among all winners is added at merge
+        time. The levels are merged on keys, and colors are gathered once,
+        for the merged map, from the winners' colors.
         """
         w, h = self._size
-        total = sum(len(slot.cloud) for slot in self._slots)
-        if total > _MAX_POINTS:
-            raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} points")
-        if total == 0:
-            return EnvMapLayer.empty(w, h)
         finest = np.full(w * h, _NO_POINT)
-        sources = []
         offset = 0
         for slot in self._slots:
             if slot.keys is None:
-                keys = _project_keys(slot.cloud.positions, self._rec, (w, h))
-                # a view hits a fraction of the map: keep only those pixels
-                pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
-                slot.keys = (pixels, keys[pixels])
+                self._keep_winners(slot)
+            if offset + len(slot.cloud) > _MAX_POINTS:
+                raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} winners")
             pixels, keys = slot.keys
             finest[pixels] = np.minimum(finest[pixels], keys + np.uint64(offset))
-            sources.append((offset, slot.cloud.colors))
             offset += len(slot.cloud)
+        if offset == 0:
+            return EnvMapLayer.empty(w, h)
         # Bands of rows that are whole pixel blocks of every level merge
         # independently, in parts on several threads.
         merged = np.empty_like(finest)
@@ -191,7 +218,28 @@ class DensePointCloudBuffer:
         _run_parts(self._merge_rows, [
             (finest, merged, step * (blocks * i // parts),
              step * (blocks * (i + 1) // parts)) for i in range(parts)])
-        return _layer(merged, w, h, sources)
+        return _layer(merged, w, h, np.concatenate([s.cloud.colors for s in self._slots]))
+
+    def _keep_winners(self, slot: _ViewSlot) -> None:
+        """Project the cloud of slot, and keep in the slot only its
+        winners, in their order in the cloud, with the hit pixels and
+        their keys, the indices renumbered to each winner's rank among the
+        winners. Ranks keep the order of indices, so every tie breaks as
+        before, and the winners project to the same key map. The winners
+        come in order from one mark per point, and the ranks from them: no
+        sort."""
+        keys = _project_keys(slot.cloud.positions, self._rec, self._size)
+        pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
+        keys = keys[pixels]
+        index = keys.view(np.uint32).reshape(-1, 2)[:, 0]  # the lower halves
+        won = np.zeros(len(slot.cloud), dtype=bool)
+        won[index] = True
+        order = np.flatnonzero(won)
+        rank = np.empty(len(slot.cloud), dtype=np.uint32)
+        rank[order] = np.arange(len(order), dtype=np.uint32)
+        index[...] = rank[index]
+        winners = slot.cloud.select(order)
+        slot.cloud, slot.keys = PointCloud(winners.positions, winners.colors), (pixels, keys)
 
     def _merge_rows(self, finest: np.ndarray, merged: np.ndarray, r0: int, r1: int) -> None:
         """Merge rows r0..r1-1 of every level's key map, taken from the flat
@@ -219,14 +267,20 @@ class DensePointCloudBuffer:
     def view_ids(self) -> list[int]:
         return [s.view_id for s in self._slots]
 
-    def get_view(self, view_id: int) -> PointCloud | None:
+    def get_view(self, view_id: int) -> PointCloud | FrameCloud | None:
+        """The cloud of view view_id: its winners once projected."""
         for s in self._slots:
             if s.view_id == view_id:
                 return s.cloud
         return None
 
+    def clouds(self) -> list[PointCloud | FrameCloud]:
+        """The cloud of every slot, in slot order. A slot's cloud is
+        replaced, never changed in place, so the list stays valid."""
+        return [s.cloud for s in self._slots]
+
     def all_points(self) -> PointCloud:
-        return PointCloud.concatenate([s.cloud for s in self._slots])
+        return PointCloud.concatenate(self.clouds())
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -269,16 +323,17 @@ def kept_pixels(depth: DepthImage) -> np.ndarray:
     return (depth.confidence >= MIN_CONFIDENCE) & (depth.depth > 0)
 
 
-def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
-                         pose: Pose) -> PointCloud:
-    """Unproject every pixel of kept_pixels(depth) into world space.
-    Output order is row-major over kept pixels. When every pixel is kept
-    and color is uint8, the cloud's colors share color.pixels."""
+def unproject_frame(color: ColorImage, depth: DepthImage, k: Intrinsics,
+                    pose: Pose) -> FrameCloud:
+    """The points of generate_dense_cloud, their colors left in color:
+    every pixel of kept_pixels(depth) unprojected into world space,
+    row-major."""
     if (color.width, color.height) != (depth.width, depth.height):
         raise ValueError("color and depth dimensions must match")
     keep = kept_pixels(depth)
-    if not keep.any():
-        return PointCloud.empty()
+    kept = None if keep.all() else np.flatnonzero(keep)
+    if kept is not None and not len(kept):
+        return FrameCloud(np.empty((0, 3), dtype=np.float32), kept, color)
     # d * camera_ray, rotated and translated in float64 over the whole
     # grid, a band of rows at a time. Each point gets the bits of its own
     # pixel's unprojection: float32 depth promotes exactly, and the matmul
@@ -300,8 +355,17 @@ def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
         out = positions[top * w:top * w + len(rotated)]
         for axis in range(3):
             np.add(rotated[:, axis], pose.translation[axis], out=out[:, axis])
-    cloud = PointCloud(positions, color.pixels.reshape(-1, 3))
-    return cloud if keep.all() else cloud.select(keep.ravel())
+    frame = FrameCloud(positions, None, color)
+    return frame if kept is None else frame.select(kept)
+
+
+def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
+                         pose: Pose) -> PointCloud:
+    """Unproject every pixel of kept_pixels(depth) into world space.
+    Output order is row-major over kept pixels. When every pixel is kept
+    and color is uint8, the cloud's colors share color.pixels."""
+    frame = unproject_frame(color, depth, k, pose)
+    return PointCloud(frame.positions, frame.colors)
 
 
 def _inside(positions: np.ndarray, center) -> np.ndarray:
@@ -478,30 +542,12 @@ def _block_min(keys: np.ndarray, w: int, h: int, r: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _gather(sources: list[tuple[int, np.ndarray]], idx: np.ndarray,
-            out: np.ndarray) -> None:
-    """out[i] = row idx[i] of the concatenation of the (n, 3) uint8 color
-    arrays of sources, given as (start row, colors) in row order; rows
-    past the end clip to the last one. Rows move as whole 3-byte records
-    (see _by_pixel)."""
-    out = _by_pixel(out)
-    if len(sources) == 1:
-        _by_pixel(sources[0][1]).take(idx, out=out, mode="clip")
-        return
-    which = np.zeros(len(idx), dtype=np.int32)
-    for start, _ in sources[1:]:
-        which += idx >= start
-    for i, (start, colors) in enumerate(sources):
-        sel = np.flatnonzero(which == i)
-        out[sel] = _by_pixel(colors).take(idx[sel] - idx.dtype.type(start), mode="clip")
-
-
-def _layer(keys: np.ndarray, w: int, h: int,
-           sources: list[tuple[int, np.ndarray]]) -> EnvMapLayer:
+def _layer(keys: np.ndarray, w: int, h: int, colors: np.ndarray) -> EnvMapLayer:
     """The w x h layer of the flat key map keys: a hit pixel takes its
-    winning point's color (gathered from sources, see _gather). The
-    distance is a float32 view of the keys' upper halves, +inf at a miss.
-    The colors are filled in parts on several threads."""
+    winning point's row of the (n, 3) uint8 colors, moved as a whole
+    3-byte record (see _by_pixel). The distance is a float32 view of the
+    keys' upper halves, +inf at a miss. The colors are filled in parts on
+    several threads."""
     halves = keys.view(np.uint32).reshape(-1, 2)
     layer = EnvMapLayer(w, h, np.empty((h, w, 3), dtype=np.uint8),
                         halves[:, 1].view(np.float32).reshape(h, w),
@@ -511,7 +557,7 @@ def _layer(keys: np.ndarray, w: int, h: int,
 
     def fill(s: int, e: int) -> None:
         np.less(keys[s:e], _NO_POINT, out=valid[s:e])
-        _gather(sources, halves[s:e, 0], color[s:e])
+        _by_pixel(colors).take(halves[s:e, 0], out=_by_pixel(color[s:e]), mode="clip")
         miss = ~valid[s:e]
         if miss.any():
             color[s:e][miss] = 0
@@ -584,8 +630,7 @@ def project_multires(cloud: PointCloud, rec_pos: np.ndarray,
         return [EnvMapLayer.empty(w, h) for w, h in levels]
     rec_pos = np.asarray(rec_pos, dtype=np.float32).reshape(3)
     finest = _project_keys(cloud.positions, rec_pos, levels[0])
-    sources = [(0, cloud.colors)]
-    return [_layer(finest if r == 1 else _block_min(finest, w, h, r), w, h, sources)
+    return [_layer(finest if r == 1 else _block_min(finest, w, h, r), w, h, cloud.colors)
             for (w, h), r in zip(levels, ratios)]
 
 

@@ -17,6 +17,7 @@ All multi-byte values are little-endian. Packet layouts:
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -148,43 +149,64 @@ def ycbcr420_to_rgb(img: YCbCr420Image) -> ColorImage:
     return ColorImage(w, h, rgb)
 
 
+def _rgb8(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray) -> None:
+    """Write the uint8 decode of the bytes y, cb, cr (broadcast together)
+    to out, shaped (..., 3): quantize of the float decode, bit for bit. G
+    is floor(g + 0.5) of the clipped float64 g; the cast truncates, which
+    is the floor of a value >= 0.5."""
+    y_hi = y.astype(np.uint16) << 8
+    out[..., 0] = _R_BYTES[y_hi | cr]
+    out[..., 2] = _B_BYTES[y_hi | cb]
+    g = _green(y, cb, cr)
+    g += 0.5
+    out[..., 1] = g
+
+
 def ycbcr420_to_rgb8(img: YCbCr420Image) -> np.ndarray:
     """quantize(ycbcr420_to_rgb(img).pixels) bit for bit, as (height,
-    width, 3) uint8, without the float image. G is floor(g + 0.5) of the
-    clipped float64 g, a band of row pairs at a time; the cast truncates,
-    which is the floor of a value >= 0.5."""
+    width, 3) uint8, without the float image, a band of row pairs at a
+    time."""
     h, w = img.height, img.width
     rgb = np.empty((h, w, 3), dtype=np.uint8)
     pairs = rgb.reshape(h // 2, 2, w, 3)
     y, cb, cr = _row_pairs(img)
     for top in range(0, h // 2, _BAND_PAIRS):
         band = slice(top, top + _BAND_PAIRS)
-        yb, cbb, crb = y[band], cb[band], cr[band]
-        y_hi = yb.astype(np.uint16) << 8
-        out = pairs[band]
-        out[..., 0] = _R_BYTES[y_hi | crb]
-        out[..., 2] = _B_BYTES[y_hi | cbb]
-        g = _green(yb, cbb, crb)
-        g += 0.5
-        out[..., 1] = g
+        _rgb8(y[band], cb[band], cr[band], pairs[band])
     return rgb
 
 
-@dataclass
-class DecodedColorImage(ColorImage):
-    """A near frame's color: its uint8 decode, with the planes it was
-    decoded from. colors_at gives the float decode of the pixels asked
-    for, bit for bit that of ycbcr420_to_rgb, not their bytes over 255."""
+def _samples_at(img: YCbCr420Image, index: np.ndarray):
+    """The y, cb and cr bytes of the pixels at the flat row-major indices
+    index."""
+    w = img.width
+    row, col = np.divmod(index, w)
+    chroma = (row >> 1) * (w >> 1) + (col >> 1)
+    return img.y.reshape(-1)[index], img.cb.reshape(-1)[chroma], img.cr.reshape(-1)[chroma]
 
-    planes: YCbCr420Image
+
+class DecodedColorImage(ColorImage):
+    """A near frame's color, held as the planes it is decoded from. Its
+    uint8 decode, pixels, is decoded on first use; pixels_at decodes only
+    the pixels asked for, and colors_at gives their float decode, bit for
+    bit that of ycbcr420_to_rgb, not their bytes over 255."""
+
+    def __init__(self, planes: YCbCr420Image):
+        self.width, self.height, self.planes = planes.width, planes.height, planes
+
+    @functools.cached_property
+    def pixels(self) -> np.ndarray:
+        return ycbcr420_to_rgb8(self.planes)
+
+    def pixels_at(self, index: np.ndarray) -> np.ndarray:
+        """ycbcr420_to_rgb8(planes).reshape(-1, 3)[index] bit for bit."""
+        out = np.empty((len(index), 3), dtype=np.uint8)
+        _rgb8(*_samples_at(self.planes, index), out)
+        return out
 
     def colors_at(self, index: np.ndarray) -> np.ndarray:
-        w = self.planes.width
-        row, col = np.divmod(index, w)
-        chroma = (row >> 1) * (w >> 1) + (col >> 1)
         out = np.empty((len(index), 3))
-        _rgb(self.planes.y.reshape(-1)[index], self.planes.cb.reshape(-1)[chroma],
-             self.planes.cr.reshape(-1)[chroma], out)
+        _rgb(*_samples_at(self.planes, index), out)
         return out
 
 
@@ -218,9 +240,8 @@ class NearKeyframe:
     def to_camera_frame(self) -> CameraFrame:
         k = self.intrinsics
         depth = DepthImage(k.width, k.height, self.depth, self.confidence)
-        color = DecodedColorImage(k.width, k.height, ycbcr420_to_rgb8(self.color),
-                                  self.color)
-        return CameraFrame(color, k, self.pose, depth, view_id=self.view_id)
+        return CameraFrame(DecodedColorImage(self.color), k, self.pose, depth,
+                           view_id=self.view_id)
 
 
 @dataclass

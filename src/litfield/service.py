@@ -25,7 +25,7 @@ import numpy as np
 
 from . import protocol, session as session_mod
 from .errors import LitFieldError, ProtocolError
-from .nearfield import register_icp
+from .nearfield import PointCloud, register_icp
 from .session import EnvironmentMap, Preset, ReconstructionSession, preset_config
 
 log = logging.getLogger(__name__)
@@ -229,13 +229,14 @@ class _Handler(socketserver.BaseRequestHandler):
                     return _map_response(sess)
             icp = cfg.icp_enabled
             with sess.lock:
-                prior = sess.buffer.all_points() if icp else None
+                # the slots' clouds, not a copy: they are replaced, never changed
+                prior = sess.buffer.clouds() if icp else None
                 before = sess.buffer.get_view(packet.view_id)
                 sess.ingest_near(frame)
                 source = sess.buffer.get_view(packet.view_id)
                 reply = _map_response(sess)
             # a frame that inserted no view leaves source as it was
-            if icp and source is not before and len(prior) >= 3:
+            if icp and source is not before and sum(map(len, prior)) >= 3:
                 self.pending_icp = threading.Thread(
                     target=self._register, args=(sess, packet.view_id, source, prior),
                     daemon=True)
@@ -244,12 +245,13 @@ class _Handler(socketserver.BaseRequestHandler):
             f"unexpected packet type {type(packet).__name__}")
 
     def _register(self, sess: ReconstructionSession, view_id: int, source,
-                  reference) -> None:
-        """Register the cloud source of view view_id against reference,
-        then apply it and send the updated map, unless the view has
-        received another cloud meanwhile. Runs on a thread of its own."""
+                  reference: list) -> None:
+        """Register the cloud source of view view_id against the
+        concatenation of the clouds reference, then apply it and send the
+        updated map, unless the view has received another cloud meanwhile.
+        Runs on a thread of its own."""
         try:
-            result = register_icp(source, reference)
+            result = register_icp(source, PointCloud.concatenate(reference))
         except LitFieldError as e:
             log.debug("registration skipped for view %d: %s", view_id, e)
             return

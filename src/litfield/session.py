@@ -171,16 +171,19 @@ class ReconstructionSession:
         rows = rows[~self.near_map.valid.reshape(-1)[rows]]
         _by_pixel(self.reply)[rows] = far[rows]
 
-    def _splat_near_sample(self, frame: CameraFrame) -> None:
+    def _splat_near_sample(self, frame: CameraFrame, kept: np.ndarray | None) -> None:
         # Splat a 32x24-equivalent sample (one pixel per far-capture-pixel
-        # stratum) of the frame's kept pixels, or of its pixels with depth
-        # when none is kept: color alone is still evidence. Each sampled
-        # pixel lands where generate_dense_cloud puts it, and brings the
-        # frame's float color.
+        # stratum) of the frame's kept pixels, the flat indices kept (None
+        # when every pixel is kept), or of its pixels with depth when none
+        # is kept: color alone is still evidence. Each sampled pixel lands
+        # where generate_dense_cloud puts it, and brings the frame's float
+        # color.
         fw, fh = FAR_CAPTURE_RES
-        mask = nearfield.kept_pixels(frame.depth)
-        pixels = np.flatnonzero(mask if mask.any() else frame.depth.depth > 0)
-        pixels = pixels[::max(1, len(pixels) // (fw * fh))]
+        if kept is not None and not len(kept):
+            kept = np.flatnonzero(frame.depth.depth > 0)
+        n = frame.depth.depth.size if kept is None else len(kept)
+        step = max(1, n // (fw * fh))
+        pixels = np.arange(0, n, step) if kept is None else kept[::step]
         v, u = np.divmod(pixels, frame.depth.width)
         d = frame.depth.depth.reshape(-1)[pixels, None]
         positions = frame.pose.transform(d * camera_ray(u, v, frame.intrinsics))
@@ -198,13 +201,14 @@ class ReconstructionSession:
         if frame.depth is None:
             raise InvalidDepthError("near-field ingestion requires depth")
         t0 = time.perf_counter()
-        cloud = nearfield.generate_dense_cloud(
+        # the view's colors are read from the frame for its winners alone
+        cloud = nearfield.unproject_frame(
             frame.color, frame.depth, frame.intrinsics, frame.pose)
         self.timings["dense_cloud"] += time.perf_counter() - t0
         if len(cloud):
             self.buffer.insert_view(frame.view_id, cloud)
         t0 = time.perf_counter()
-        self._splat_near_sample(frame)
+        self._splat_near_sample(frame, cloud.pixels)
         self.timings["sparse_cloud"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         self._update_far_map()

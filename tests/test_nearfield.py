@@ -314,16 +314,41 @@ class TestBuffer:
             assert np.array_equal(got.color[pixel], cloud.colors[i])
 
     def test_project_over_key_capacity_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(nearfield, "_MAX_POINTS", 150)
-        first, second = self._views(2)
+        # Each view puts one point on every pixel center of the 8x4 map, so
+        # all 32 points of a view win. Each view's key pass fits under the
+        # capacity of 40; the merged index of both views' 64 winners does not.
+        monkeypatch.setattr(nearfield, "_MAX_POINTS", 40)
+        centers = equirect_pixel_dirs(8, 4).reshape(-1, 3)
         buf = _buffer(3)
-        buf.insert_view(0, first)
+        buf.insert_view(0, _cloud(0.5 * centers))
         buf.project()
-        buf.insert_view(1, second)
-        with pytest.raises(PointCapacityError):
+        assert len(buf.get_view(0)) == 32
+        buf.insert_view(1, _cloud(0.25 * centers))
+        with pytest.raises(PointCapacityError, match="winners"):
             buf.project()
+        assert len(buf.get_view(1)) == 32
         with pytest.raises(PointCapacityError):
             project_multires(buf.all_points(), np.zeros(3), [(8, 4)])
+
+    def test_a_projected_slot_holds_one_point_per_pixel(self):
+        # 20k points on a 32x16 map: every pixel is hit many times over
+        rng = np.random.default_rng(7)
+        levels = [(32, 16), (16, 8)]
+        views = [PointCloud(rng.uniform(-0.9, 0.9, (20_000, 3)), rng.random((20_000, 3)))
+                 for _ in range(3)]
+        buf = DensePointCloudBuffer(3, np.zeros(3), levels, 20_000)
+        for vid, view in enumerate(views):
+            buf.insert_view(vid, view)
+            got = buf.project()
+        for vid, view in enumerate(views):
+            winners = buf.get_view(vid)
+            hit = project_multires(winners, np.zeros(3), levels[:1])[0].valid
+            assert len(winners) == hit.sum() <= 32 * 16
+            own = project_multires(view, np.zeros(3), levels[:1])[0]
+            assert np.array_equal(hit, own.valid)
+        want = merge_multires(project_multires(PointCloud.concatenate(views), np.zeros(3),
+                                               levels), levels[0])
+        _assert_same_layers([got], [want])
 
 
 # ── filter_boundary ──────────────────────────────────────────────────────

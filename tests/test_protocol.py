@@ -367,6 +367,23 @@ class TestYCbCr:
         assert got.dtype == np.float64
         assert got.tobytes() == floats.reshape(-1, 3)[index].tobytes()
 
+    def test_pixels_at_are_a_slice_of_the_whole_decode(self):
+        rng = np.random.default_rng(37)
+        w, h = 34, 22  # not a multiple of the decode's band of row pairs
+        img = YCbCr420Image(w, h, rng.integers(0, 256, (h, w), dtype=np.uint8),
+                            rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+                            rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
+        whole = ycbcr420_to_rgb8(img).reshape(-1, 3)
+        near = NearKeyframe(1, 0, Pose.identity(), Intrinsics(30.0, 30.0, 17.0, 11.0, w, h),
+                            img, np.ones((h, w), np.float32), np.full((h, w), 2, np.uint8))
+        color = near.to_camera_frame().color
+        for index in (rng.permutation(w * h)[:300], np.arange(w * h),
+                      np.array([w * h - 1, 0, w, w - 1]), np.zeros(0, dtype=np.int64)):
+            got = color.pixels_at(index)
+            assert got.dtype == np.uint8 and got.shape == (len(index), 3)
+            assert got.tobytes() == whole[index].tobytes()
+        assert "pixels" not in vars(color)  # nothing decoded the whole frame
+
     def test_neutral_chroma_is_gray(self):
         img = YCbCr420Image(2, 2, np.full((2, 2), 128, np.uint8),
                             np.full((1, 1), 128, np.uint8),

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from litfield import farfield, protocol, service
+from litfield import farfield, nearfield, protocol, service
 from litfield import session as session_mod
 from litfield.errors import ProtocolError
 from litfield.geometry import CameraFrame, ColorImage, Intrinsics, Pose
@@ -856,6 +856,40 @@ class TestIcpUpdates:
             # no pixel is confident enough to keep: view 1 keeps its cloud
             client.send(dataclasses.replace(near, confidence=np.zeros_like(near.confidence)))
             assert client.poll_update(0.5) is None
+
+    def test_buffer_is_concatenated_only_by_a_registration(self, monkeypatch):
+        # The request loop takes the slots' clouds without copying them; a
+        # registration concatenates them on its own thread, and a keyframe
+        # that starts none concatenates nothing.
+        concatenate = nearfield.PointCloud.concatenate
+        ingest = ReconstructionSession.ingest_near
+        calls, request_threads = [], set()
+
+        def spied_concatenate(clouds):
+            calls.append(threading.get_ident())
+            return concatenate(clouds)
+
+        def spied_ingest(sess, frame):
+            request_threads.add(threading.get_ident())
+            return ingest(sess, frame)
+
+        monkeypatch.setattr(nearfield.PointCloud, "concatenate",
+                            staticmethod(spied_concatenate))
+        monkeypatch.setattr(ReconstructionSession, "ingest_near", spied_ingest)
+        scene = _room()
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
+            assert client.poll_update(0.2) is None
+            assert calls == []  # an empty buffer starts no registration
+            near = _near_packet(scene, (0.0, 1.4, 0.4), view_id=1)
+            client.send(near)
+            assert client.poll_update(5.0) is not None
+            assert len(calls) == 1 and calls[0] not in request_threads
+            client.send(dataclasses.replace(near, confidence=np.zeros_like(near.confidence)))
+            assert client.poll_update(0.5) is None
+            assert len(calls) == 1
 
     def test_no_updates_when_disabled(self, server):
         scene = _room()

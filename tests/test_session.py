@@ -305,16 +305,16 @@ class TestIngestNear:
         near_reply = sess.reply[near.valid]
         observed_before = int(sess.anchors.observed.sum())
         clouds = []
-        generate = nearfield.generate_dense_cloud
+        unproject = nearfield.unproject_frame
 
-        def counted_generate(*args):
-            clouds.append(generate(*args))
+        def counted_unproject(*args):
+            clouds.append(unproject(*args))
             return clouds[-1]
 
         def no_project(buffer):
             raise AssertionError("the unchanged buffer was projected")
 
-        monkeypatch.setattr(nearfield, "generate_dense_cloud", counted_generate)
+        monkeypatch.setattr(nearfield, "unproject_frame", counted_unproject)
         monkeypatch.setattr(nearfield.DensePointCloudBuffer, "project", no_project)
         sess.ingest_near(lowconf)
         assert len(clouds) == 1 and len(clouds[0]) == 0
@@ -415,6 +415,29 @@ class TestWireFrameFarPath:
         assert a.far_map.color.tobytes() == b.far_map.color.tobytes()
         assert np.array_equal(a.reply, b.reply)
         assert np.array_equal(a.reply, a.compose().to_uint8())
+
+
+    def test_decodes_the_colors_of_the_winners_alone(self, monkeypatch):
+        decoded = []
+        pixels_at = protocol.DecodedColorImage.pixels_at
+
+        def whole_frame_decode(img):
+            raise AssertionError("the serving path decoded the whole frame")
+
+        def counted(color, index):
+            decoded.append(len(index))
+            return pixels_at(color, index)
+
+        monkeypatch.setattr(protocol, "ycbcr420_to_rgb8", whole_frame_decode)
+        monkeypatch.setattr(protocol.DecodedColorImage, "pixels_at", counted)
+        rendered = _frame(_small_room(), (0.3, 1.4, 0.3), (0.0, 1.4, 0.0), view_id=3)
+        packet = protocol.NearKeyframe(
+            1, 3, rendered.pose, K_SMALL, protocol.rgb_to_ycbcr420(rendered.color),
+            rendered.depth.depth.astype(np.float32), rendered.depth.confidence)
+        sess = _small_session()
+        sess.ingest_near(packet.to_camera_frame())
+        winners = len(sess.buffer.get_view(3))
+        assert decoded == [winners] and 0 < winners < 64 * 48
 
 
 # ── ingest_far ───────────────────────────────────────────────────────────
@@ -623,8 +646,36 @@ class TestIncrementalNearMap:
                 (0.0, 1.4, -0.4), (0.4, 1.4, 0.0)]
         for vid, eye in enumerate(eyes):
             projected.clear()
-            sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=vid % 4))
-            assert projected == [len(sess.buffer.get_view(vid % 4))]
+            frame = _frame(scene, eye, sess.rec_pos, view_id=vid % 4)
+            sess.ingest_near(frame)
+            assert projected == [frame.depth.depth.size]
+
+
+class TestSlotMemory:
+    def test_five_high_views_hold_at_most_20_mib(self):
+        """Five 1024x768 views of a desk-scale room, all inside the
+        boundary cube, from an orbit around the reconstruction position:
+        each slot keeps the 142-147k winners of its 786k points."""
+        cfg = preset_config(Preset.HIGH)
+        w, h = cfg.near_capture_res
+        f = (w / 2) / np.tan(np.radians(30.0))
+        k = Intrinsics(f, f, w / 2, h / 2, w, h)
+        rec = np.array([0.0, 0.3, 0.0])
+        desk = SyntheticScene(np.array([-0.9, 0.0, -0.9]), np.array([0.9, 1.25, 0.9]),
+                              _small_room().faces)
+        sess = create_session(rec, cfg, (w, h), GRAY)
+        for vid in range(cfg.num_views):
+            a = 2 * np.pi * vid / cfg.num_views
+            eye = (0.39 * np.cos(a), 1.04, 0.39 * np.sin(a))
+            sess.ingest_near(render_rgbd(desk, look_at(eye, rec), k, view_id=vid))
+        assert len(sess.buffer) == cfg.num_views
+        held = 0
+        for slot in sess.buffer._slots:
+            pixels, keys = slot.keys
+            assert len(slot.cloud) == len(pixels)
+            held += (slot.cloud.positions.nbytes + slot.cloud.colors.nbytes
+                     + pixels.nbytes + keys.nbytes)
+        assert held <= 20 * 2**20
 
 
 class TestRegistration:
