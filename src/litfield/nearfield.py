@@ -83,12 +83,12 @@ class PointCloud:
 class FrameCloud:
     """Points of one frame whose colors stay in the frame until asked for:
     positions (N, 3) float32 meters, pixels the flat row-major frame pixel
-    of each point (None: point i is pixel i), and color the frame's color
-    image. It selects and reads like a PointCloud; a buffer slot holding
-    one reads the colors of its winners alone."""
+    of each point, and color the frame's color image. It selects and reads
+    like a PointCloud; a buffer slot holding one reads the colors of its
+    winners alone."""
 
     positions: np.ndarray
-    pixels: np.ndarray | None
+    pixels: np.ndarray
     color: ColorImage
 
     def __len__(self) -> int:
@@ -97,14 +97,12 @@ class FrameCloud:
     def select(self, idx: np.ndarray) -> "FrameCloud":
         """The points at the integer indices idx."""
         positions = _by_pixel(self.positions)[idx].view(np.float32).reshape(-1, 3)
-        return FrameCloud(positions, idx if self.pixels is None else self.pixels[idx],
-                          self.color)
+        return FrameCloud(positions, self.pixels[idx], self.color)
 
     @property
     def colors(self) -> np.ndarray:
         """The uint8 colors of the points, quantized as a PointCloud's."""
-        colors = (self.color.pixels.reshape(-1, 3) if self.pixels is None
-                  else self.color.pixels_at(self.pixels))
+        colors = self.color.pixels_at(self.pixels)
         return colors if colors.dtype == np.uint8 else quantize(colors)
 
 
@@ -330,9 +328,8 @@ def unproject_frame(color: ColorImage, depth: DepthImage, k: Intrinsics,
     row-major."""
     if (color.width, color.height) != (depth.width, depth.height):
         raise ValueError("color and depth dimensions must match")
-    keep = kept_pixels(depth)
-    kept = None if keep.all() else np.flatnonzero(keep)
-    if kept is not None and not len(kept):
+    kept = np.flatnonzero(kept_pixels(depth))
+    if not len(kept):
         return FrameCloud(np.empty((0, 3), dtype=np.float32), kept, color)
     # d * camera_ray, rotated and translated in float64 over the whole
     # grid, a band of rows at a time. Each point gets the bits of its own
@@ -355,15 +352,15 @@ def unproject_frame(color: ColorImage, depth: DepthImage, k: Intrinsics,
         out = positions[top * w:top * w + len(rotated)]
         for axis in range(3):
             np.add(rotated[:, axis], pose.translation[axis], out=out[:, axis])
-    frame = FrameCloud(positions, None, color)
-    return frame if kept is None else frame.select(kept)
+    if len(kept) < len(positions):
+        positions = _by_pixel(positions)[kept].view(np.float32).reshape(-1, 3)
+    return FrameCloud(positions, kept, color)
 
 
 def generate_dense_cloud(color: ColorImage, depth: DepthImage, k: Intrinsics,
                          pose: Pose) -> PointCloud:
     """Unproject every pixel of kept_pixels(depth) into world space.
-    Output order is row-major over kept pixels. When every pixel is kept
-    and color is uint8, the cloud's colors share color.pixels."""
+    Output order is row-major over kept pixels."""
     frame = unproject_frame(color, depth, k, pose)
     return PointCloud(frame.positions, frame.colors)
 

@@ -103,6 +103,8 @@ def rgb_to_ycbcr420(img: ColorImage) -> YCbCr420Image:
 # value, computed in the same order, so the decode equals the formula bit
 # for bit (the tests check all 2^24 (y, cb, cr) triples). The uint8 decode
 # quantizes the R and B tables; G it quantizes from the float64 formula.
+# Every decode reads the pixels it is asked for by flat index, the whole
+# frame's decode too.
 _LEVELS = np.arange(256, dtype=np.float64)
 _CHROMA = _LEVELS - 128.0
 _R_TABLE = (np.clip(_LEVELS[:, None] + 1.402 * _CHROMA, 0.0, 255.0) / 255.0).ravel()
@@ -111,69 +113,38 @@ _R_BYTES = quantize(_R_TABLE)
 _B_BYTES = quantize(_B_TABLE)
 _G_CB = 0.344136 * _CHROMA
 _G_CR = 0.714136 * _CHROMA
-# Row pairs per band of the uint8 decode: a band's float64 G stays in cache.
-_BAND_PAIRS = 8
 
 
 def _green(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """G of the bytes y, cb, cr (broadcast together) on the 0..255 scale,
-    clipped, in float64."""
+    """G of the bytes y, cb, cr (n each) on the 0..255 scale, clipped, in
+    float64."""
     g = y - _G_CB[cb]
     g -= _G_CR[cr]
     return np.clip(g, 0.0, 255.0, out=g)
 
 
-def _rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray) -> None:
-    """Write the float64 decode of the bytes y, cb, cr (broadcast
-    together) to out, shaped (..., 3)."""
+def _rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """The (n, 3) float64 decode of the bytes y, cb, cr (n each)."""
     y_hi = y.astype(np.uint16) << 8
-    out[..., 0] = _R_TABLE[y_hi | cr]
-    out[..., 2] = _B_TABLE[y_hi | cb]
-    np.divide(_green(y, cb, cr), 255.0, out=out[..., 1])
+    out = np.empty((len(y), 3))
+    out[:, 0] = _R_TABLE[y_hi | cr]
+    out[:, 2] = _B_TABLE[y_hi | cb]
+    np.divide(_green(y, cb, cr), 255.0, out=out[:, 1])
+    return out
 
 
-def _row_pairs(img: YCbCr420Image):
-    """y as (row pairs, 2, width), and cb and cr column-doubled as
-    (row pairs, 1, width): one row of chroma broadcasts over the two image
-    rows it covers."""
-    h, w = img.height, img.width
-    return (img.y.reshape(h // 2, 2, w),
-            np.repeat(img.cb, 2, axis=1)[:, None, :],
-            np.repeat(img.cr, 2, axis=1)[:, None, :])
-
-
-def ycbcr420_to_rgb(img: YCbCr420Image) -> ColorImage:
-    h, w = img.height, img.width
-    rgb = np.empty((h, w, 3))
-    _rgb(*_row_pairs(img), rgb.reshape(h // 2, 2, w, 3))
-    return ColorImage(w, h, rgb)
-
-
-def _rgb8(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray) -> None:
-    """Write the uint8 decode of the bytes y, cb, cr (broadcast together)
-    to out, shaped (..., 3): quantize of the float decode, bit for bit. G
-    is floor(g + 0.5) of the clipped float64 g; the cast truncates, which
-    is the floor of a value >= 0.5."""
+def _rgb8(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """The (n, 3) uint8 decode of the bytes y, cb, cr (n each): quantize
+    of the float decode, bit for bit. G is floor(g + 0.5) of the clipped
+    float64 g; the cast truncates, which is the floor of a value >= 0.5."""
     y_hi = y.astype(np.uint16) << 8
-    out[..., 0] = _R_BYTES[y_hi | cr]
-    out[..., 2] = _B_BYTES[y_hi | cb]
+    out = np.empty((len(y), 3), dtype=np.uint8)
+    out[:, 0] = _R_BYTES[y_hi | cr]
+    out[:, 2] = _B_BYTES[y_hi | cb]
     g = _green(y, cb, cr)
     g += 0.5
-    out[..., 1] = g
-
-
-def ycbcr420_to_rgb8(img: YCbCr420Image) -> np.ndarray:
-    """quantize(ycbcr420_to_rgb(img).pixels) bit for bit, as (height,
-    width, 3) uint8, without the float image, a band of row pairs at a
-    time."""
-    h, w = img.height, img.width
-    rgb = np.empty((h, w, 3), dtype=np.uint8)
-    pairs = rgb.reshape(h // 2, 2, w, 3)
-    y, cb, cr = _row_pairs(img)
-    for top in range(0, h // 2, _BAND_PAIRS):
-        band = slice(top, top + _BAND_PAIRS)
-        _rgb8(y[band], cb[band], cr[band], pairs[band])
-    return rgb
+    out[:, 1] = g
+    return out
 
 
 def _samples_at(img: YCbCr420Image, index: np.ndarray):
@@ -185,11 +156,24 @@ def _samples_at(img: YCbCr420Image, index: np.ndarray):
     return img.y.reshape(-1)[index], img.cb.reshape(-1)[chroma], img.cr.reshape(-1)[chroma]
 
 
+def ycbcr420_to_rgb(img: YCbCr420Image) -> ColorImage:
+    h, w = img.height, img.width
+    rgb = _rgb(*_samples_at(img, np.arange(h * w)))
+    return ColorImage(w, h, rgb.reshape(h, w, 3))
+
+
+def ycbcr420_to_rgb8(img: YCbCr420Image) -> np.ndarray:
+    """quantize(ycbcr420_to_rgb(img).pixels) bit for bit, as (height,
+    width, 3) uint8, without the float image."""
+    h, w = img.height, img.width
+    return _rgb8(*_samples_at(img, np.arange(h * w))).reshape(h, w, 3)
+
+
 class DecodedColorImage(ColorImage):
-    """A near frame's color, held as the planes it is decoded from. Its
-    uint8 decode, pixels, is decoded on first use; pixels_at decodes only
-    the pixels asked for, and colors_at gives their float decode, bit for
-    bit that of ycbcr420_to_rgb, not their bytes over 255."""
+    """A near frame's color, held as the planes it is decoded from.
+    pixels_at decodes only the pixels asked for, and colors_at gives their
+    float decode, that of ycbcr420_to_rgb, not their bytes over 255. The
+    uint8 decode of every pixel, pixels, is decoded on first use."""
 
     def __init__(self, planes: YCbCr420Image):
         self.width, self.height, self.planes = planes.width, planes.height, planes
@@ -199,15 +183,10 @@ class DecodedColorImage(ColorImage):
         return ycbcr420_to_rgb8(self.planes)
 
     def pixels_at(self, index: np.ndarray) -> np.ndarray:
-        """ycbcr420_to_rgb8(planes).reshape(-1, 3)[index] bit for bit."""
-        out = np.empty((len(index), 3), dtype=np.uint8)
-        _rgb8(*_samples_at(self.planes, index), out)
-        return out
+        return _rgb8(*_samples_at(self.planes, index))
 
     def colors_at(self, index: np.ndarray) -> np.ndarray:
-        out = np.empty((len(index), 3))
-        _rgb(*_samples_at(self.planes, index), out)
-        return out
+        return _rgb(*_samples_at(self.planes, index))
 
 
 # --- packets -----------------------------------------------------------------

@@ -44,6 +44,12 @@ FRAME_CAP = struct.calcsize("<BII16f4f2H") + 13 * max(
 MAX_SESSIONS = 8
 # Live connections per server: more get one error frame and are closed.
 MAX_CONNECTIONS = 32
+# Live sessions per server, counted over every connection: a SessionInit
+# that would open one more gets an error reply and opens none. A session
+# stops counting when it is evicted, re-initialized or its connection
+# closes. Without it the two caps above allow 256 sessions; 32 bare HIGH
+# sessions take about 470 MB.
+MAX_LIVE_SESSIONS = 32
 # A connection is closed when no byte arrives for IDLE_TIMEOUT_S between
 # frames, or when a frame is not complete FRAME_TIMEOUT_S after its length
 # prefix, so silent or stalled clients cannot hold every slot. The idle
@@ -170,6 +176,8 @@ class _Handler(socketserver.BaseRequestHandler):
             for t in self.icp_threads:
                 t.join(timeout=1.0)
         finally:
+            for _ in self.sessions:
+                self.server.session_slots.release()
             self.server.slots.release()
 
     def _send(self, packet: protocol.Packet) -> bool:
@@ -199,9 +207,25 @@ class _Handler(socketserver.BaseRequestHandler):
                 (w, h), (pw, ph) = packet.envmap_res, config.envmap_res
                 raise ProtocolError(
                     f"envmap_res {w}x{h} is not the {preset.value} preset's {pw}x{ph}")
-            sess = session_mod.create_session(
-                packet.rec_pos, config, packet.native_res,
-                packet.ambient, session_id=packet.session_id)
+            nw, nh = packet.native_res
+            if nw % 2 or nh % 2:
+                raise ProtocolError(
+                    f"native_res {nw}x{nh} is odd; YCbCr 4:2:0 frames have even sides")
+            # A new id takes a server-wide slot unless it evicts one of this
+            # connection's sessions; re-initializing an id keeps its slot.
+            fresh = (packet.session_id not in self.sessions
+                     and len(self.sessions) < MAX_SESSIONS)
+            if fresh and not self.server.session_slots.acquire(blocking=False):
+                return protocol.ErrorPacket(
+                    f"server at its limit of {MAX_LIVE_SESSIONS} sessions")
+            try:
+                sess = session_mod.create_session(
+                    packet.rec_pos, config, packet.native_res,
+                    packet.ambient, session_id=packet.session_id)
+            except BaseException:
+                if fresh:
+                    self.server.session_slots.release()
+                raise
             self.sessions.pop(packet.session_id, None)
             if len(self.sessions) >= MAX_SESSIONS:
                 self.sessions.popitem(last=False)
@@ -283,6 +307,7 @@ class Server:
         self._tcp = _Server((cfg.host, cfg.port), _Handler)
         self._tcp.cfg = cfg
         self._tcp.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._tcp.session_slots = threading.BoundedSemaphore(MAX_LIVE_SESSIONS)
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
 
     @property

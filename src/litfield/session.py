@@ -171,19 +171,16 @@ class ReconstructionSession:
         rows = rows[~self.near_map.valid.reshape(-1)[rows]]
         _by_pixel(self.reply)[rows] = far[rows]
 
-    def _splat_near_sample(self, frame: CameraFrame, kept: np.ndarray | None) -> None:
+    def _splat_near_sample(self, frame: CameraFrame, kept: np.ndarray) -> None:
         # Splat a 32x24-equivalent sample (one pixel per far-capture-pixel
-        # stratum) of the frame's kept pixels, the flat indices kept (None
-        # when every pixel is kept), or of its pixels with depth when none
-        # is kept: color alone is still evidence. Each sampled pixel lands
-        # where generate_dense_cloud puts it, and brings the frame's float
-        # color.
+        # stratum) of the frame's kept pixels, the flat indices kept, or of
+        # its pixels with depth when none is kept: color alone is still
+        # evidence. Each sampled pixel lands where generate_dense_cloud
+        # puts it, and brings the frame's float color.
         fw, fh = FAR_CAPTURE_RES
-        if kept is not None and not len(kept):
+        if not len(kept):
             kept = np.flatnonzero(frame.depth.depth > 0)
-        n = frame.depth.depth.size if kept is None else len(kept)
-        step = max(1, n // (fw * fh))
-        pixels = np.arange(0, n, step) if kept is None else kept[::step]
+        pixels = kept[::max(1, len(kept) // (fw * fh))]
         v, u = np.divmod(pixels, frame.depth.width)
         d = frame.depth.depth.reshape(-1)[pixels, None]
         positions = frame.pose.transform(d * camera_ray(u, v, frame.intrinsics))

@@ -156,12 +156,17 @@ class TestDenseCloudMatchesRays:
         want = _ray_cloud(color, depth, k, pose)
         assert got.positions.tobytes() == want.positions.tobytes()
 
-    def test_colors_share_the_image_when_every_pixel_is_kept(self):
-        color, depth = self._frame("all", np.float32)
-        color = ColorImage(self.W, self.H, quantize(color.pixels))
-        cloud = generate_dense_cloud(color, depth, self.K, Pose.identity())
-        assert len(cloud) == self.W * self.H
-        assert np.shares_memory(cloud.colors, color.pixels)
+    @pytest.mark.parametrize("kind", ["all", "mixed", "none"])
+    def test_frame_cloud_carries_its_kept_pixels(self, kind):
+        color, depth = self._frame(kind, np.float32)
+        pose = Pose(_rot_y(23.0), np.array([0.4, -0.2, 1.3]))
+        frame = nearfield.unproject_frame(color, depth, self.K, pose)
+        assert np.array_equal(frame.pixels, np.flatnonzero(nearfield.kept_pixels(depth)))
+        assert frame.positions.dtype == np.float32
+        for cloud in (generate_dense_cloud(color, depth, self.K, pose),
+                      _ray_cloud(color, depth, self.K, pose)):
+            assert frame.positions.shape == cloud.positions.shape
+            assert frame.positions.tobytes() == cloud.positions.tobytes()
 
     def test_float_colors_are_quantized_once(self):
         color, depth = self._frame("mixed", np.float64)

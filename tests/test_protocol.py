@@ -305,7 +305,8 @@ class TestMalformed:
 
 def _formula_rgb(img: YCbCr420Image) -> np.ndarray:
     """The BT.601 decode evaluated per pixel in float64, the reference
-    for the table-driven ycbcr420_to_rgb."""
+    for every table-driven decode: the whole frame's and pixels_at's and
+    colors_at's."""
     y = img.y.astype(np.float64)
     cb = np.repeat(np.repeat(img.cb.astype(np.float64), 2, 0), 2, 1) - 128.0
     cr = np.repeat(np.repeat(img.cr.astype(np.float64), 2, 0), 2, 1) - 128.0
@@ -346,20 +347,20 @@ class TestYCbCr:
         for img, triples in _every_triple():
             got = ycbcr420_to_rgb8(img)
             assert got.dtype == np.uint8
-            assert np.array_equal(got, quantize(ycbcr420_to_rgb(img).pixels)), img.cb[0, 0]
+            assert np.array_equal(got, quantize(_formula_rgb(img))), img.cb[0, 0]
             seen[triples] = True
         assert seen.all()
 
     def test_near_frame_colors_at_are_the_float_decode(self):
         rng = np.random.default_rng(31)
-        w, h = 34, 22  # not a multiple of the decode's band of row pairs
+        w, h = 34, 22  # odd numbers of chroma rows and columns
         img = YCbCr420Image(w, h, rng.integers(0, 256, (h, w), dtype=np.uint8),
                             rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
                             rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
         near = NearKeyframe(1, 0, Pose.identity(), Intrinsics(30.0, 30.0, 17.0, 11.0, w, h),
                             img, np.ones((h, w), np.float32), np.full((h, w), 2, np.uint8))
         color = near.to_camera_frame().color
-        floats = ycbcr420_to_rgb(img).pixels
+        floats = _formula_rgb(img)
         assert color.pixels.dtype == np.uint8
         assert np.array_equal(color.pixels, quantize(floats))
         index = rng.permutation(w * h)[:200]
@@ -369,11 +370,11 @@ class TestYCbCr:
 
     def test_pixels_at_are_a_slice_of_the_whole_decode(self):
         rng = np.random.default_rng(37)
-        w, h = 34, 22  # not a multiple of the decode's band of row pairs
+        w, h = 34, 22  # odd numbers of chroma rows and columns
         img = YCbCr420Image(w, h, rng.integers(0, 256, (h, w), dtype=np.uint8),
                             rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
                             rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8))
-        whole = ycbcr420_to_rgb8(img).reshape(-1, 3)
+        whole = quantize(_formula_rgb(img)).reshape(-1, 3)
         near = NearKeyframe(1, 0, Pose.identity(), Intrinsics(30.0, 30.0, 17.0, 11.0, w, h),
                             img, np.ones((h, w), np.float32), np.full((h, w), 2, np.uint8))
         color = near.to_camera_frame().color

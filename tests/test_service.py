@@ -227,6 +227,21 @@ class TestErrors:
             env = client.send(far(1))
             assert (env.width, env.height) == (512, 256)
 
+    def test_odd_native_res_gets_error_reply(self, server):
+        # YCbCr 4:2:0 frames have even sides, so no near frame could match
+        low = service.PRESET_TO_BYTE[Preset.LOW]
+        k_odd = Intrinsics(fx=200.0, fy=200.0, cx=127.5, cy=95.5, width=255, height=191)
+        odd = protocol.SessionInit(1, REC, low, (512, 256), k_odd, (255, 191),
+                                   np.array([0.5, 0.5, 0.5]))
+        with client_connect(server.address) as client:
+            with pytest.raises(ProtocolError, match="native_res 255x191 is odd"):
+                client.send(odd)
+            with pytest.raises(ProtocolError, match="unknown session 1"):
+                client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
+            client.send(_init_packet())
+            env = client.send(_near_packet(_room(), (0.3, 1.4, 0.3)))
+            assert not np.allclose(env.pixels, 0.5, atol=1e-3)
+
     def test_near_frame_of_another_size_than_native_res(self, server):
         # The session was opened for 64x48 frames; a 32x24 near frame fits
         # its slot but is refused, and the session keeps working.
@@ -638,6 +653,56 @@ class TestSessionCap:
             for sid in [0, 1, *range(3, cap + 1)]:
                 env = client.send(far(sid))
                 assert not np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
+
+
+class TestServerSessionCap:
+    def test_sessions_are_counted_over_every_connection(self, monkeypatch):
+        monkeypatch.setattr(service, "MAX_LIVE_SESSIONS", 3)
+        monkeypatch.setattr(service, "MAX_SESSIONS", 2)
+        k_big = Intrinsics(fx=1000.0, fy=1000.0, cx=1024.0, cy=768.0,
+                           width=2048, height=1536)
+        too_big = protocol.SessionInit(12, REC, 0, (512, 256), k_big, (2048, 1536),
+                                       np.array([0.5, 0.5, 0.5]))
+
+        def far(sid):
+            return _far_packet(_room(), (0.0, 1.4, 0.0), (0.0, 1.4, -3.0), session_id=sid)
+
+        with Server(ServerConfig()) as srv:
+            with client_connect(srv.address) as a, client_connect(srv.address) as b:
+                a.send(_init_packet(session_id=1))
+                a.send(_init_packet(session_id=2))
+                # a session that fails to open does not count
+                with pytest.raises(ProtocolError, match="native_res 2048x1536"):
+                    b.send(too_big)
+                b.send(_init_packet(session_id=10))
+                with pytest.raises(ProtocolError, match="limit of 3 sessions"):
+                    b.send(_init_packet(session_id=11))
+                with pytest.raises(ProtocolError, match="unknown session 11"):
+                    b.send(far(11))
+                # re-initializing a live id and evicting on a full connection
+                # open no more sessions, so both pass at the cap
+                b.send(_init_packet(session_id=10))
+                a.send(_init_packet(session_id=3))  # evicts 1
+                with pytest.raises(ProtocolError, match="unknown session 1"):
+                    a.send(far(1))
+                with pytest.raises(ProtocolError, match="limit of 3 sessions"):
+                    b.send(_init_packet(session_id=11))
+                a.send(far(3))
+                b.send(far(10))
+                a.close()
+                # A's two sessions stop counting once its handler sees the close
+                for _ in range(100):
+                    try:
+                        b.send(_init_packet(session_id=11))
+                        break
+                    except ProtocolError:
+                        time.sleep(0.05)
+                b.send(far(11))
+                b.send(_init_packet(session_id=12))  # evicts 10: B holds 2
+                with client_connect(srv.address) as c:
+                    c.send(_init_packet(session_id=20))
+                    with pytest.raises(ProtocolError, match="limit of 3 sessions"):
+                        c.send(_init_packet(session_id=21))
 
 
 class TestMapResponse:
