@@ -84,8 +84,8 @@ class FrameCloud:
     """Points of one frame whose colors stay in the frame until asked for:
     positions (N, 3) float32 meters, pixels the flat row-major frame pixel
     of each point, and color the frame's color image. It selects and reads
-    like a PointCloud; a buffer slot holding one reads the colors of its
-    winners alone."""
+    like a PointCloud; a buffer slot reads the colors of its winners
+    alone."""
 
     positions: np.ndarray
     pixels: np.ndarray
@@ -106,17 +106,19 @@ class FrameCloud:
         return colors if colors.dtype == np.uint8 else quantize(colors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ViewSlot:
+    """One buffered view, projected when it enters the buffer; replaced, never changed."""
+
     view_id: int
     sequence: int
-    # the points of the view inside the boundary cube; once projected, the
-    # winners among them alone
-    cloud: PointCloud | FrameCloud
-    # the hit pixels of the finest level's flat key map of cloud, indexed
-    # by each winner's position in cloud, and their keys; None until
-    # projected
-    keys: tuple[np.ndarray, np.ndarray] | None = None
+    # the view's winners: its points inside the boundary cube that hit a
+    # pixel of the first level, in their order in the view
+    cloud: PointCloud
+    # the hit pixels of the first level's flat key map of the view, in
+    # ascending order, and their keys, whose lower halves index cloud
+    pixels: np.ndarray
+    keys: np.ndarray
 
 
 class DensePointCloudBuffer:
@@ -129,14 +131,14 @@ class DensePointCloudBuffer:
     consistency).
 
     A buffer projects for one reconstruction position rec_pos and one
-    level list, both fixed when it is built. A slot holds only the points
-    of its view inside the boundary cube centered on rec_pos, the only
-    ones that project; the empty and slot-capacity checks see the view as
-    given, so a view wholly outside the cube still takes a slot. Once
-    projected, a slot keeps only the view's winners, the points that hit
-    a pixel of the first level, and their keys, so `project` projects a
-    view only when its cloud changes. A view is a PointCloud or a
-    FrameCloud; the colors of a FrameCloud are read for its winners alone.
+    level list, both fixed when it is built. A view is filtered and
+    projected once, when it enters its slot: the slot holds only the
+    view's winners, its points inside the boundary cube centered on
+    rec_pos that hit a pixel of the first level, and their keys, so
+    `project` only merges. The empty and slot-capacity checks see the
+    view as given, so a view wholly outside the cube still takes a slot.
+    A view is a PointCloud or a FrameCloud; the colors of a FrameCloud
+    are read for its winners alone.
     """
 
     def __init__(self, num_views: int, rec_pos: np.ndarray,
@@ -161,33 +163,53 @@ class DensePointCloudBuffer:
             raise PointCapacityError(
                 f"view of {len(cloud)} points exceeds the slot capacity "
                 f"of {self.slot_capacity}")
-        cloud = filter_boundary(cloud, self._center)
-        seq = self._next_seq
+        slot = self._slot(view_id, self._next_seq, cloud)
         self._next_seq += 1
-        for slot in self._slots:
-            if slot.view_id == view_id:
-                slot.cloud, slot.sequence, slot.keys = cloud, seq, None
+        for i, s in enumerate(self._slots):
+            if s.view_id == view_id:
+                self._slots[i] = slot
                 return
         if len(self._slots) >= self.num_views:
-            oldest = min(self._slots, key=lambda s: s.sequence)
-            self._slots.remove(oldest)
-        self._slots.append(_ViewSlot(view_id, seq, cloud))
+            self._slots.remove(min(self._slots, key=lambda s: s.sequence))
+        self._slots.append(slot)
 
     def replace_view(self, view_id: int, old: PointCloud, new: PointCloud) -> bool:
-        """Put the points of new inside the boundary cube in place of the
-        cloud old of view view_id, keeping the slot's recency. Returns
-        False, changing nothing, if the view no longer holds old."""
-        for slot in self._slots:
-            if slot.view_id == view_id and slot.cloud is old:
-                slot.cloud, slot.keys = filter_boundary(new, self._center), None
+        """Put the view new in place of the cloud old of view view_id,
+        keeping the slot's place and recency. Returns False, changing
+        nothing, if the view no longer holds old."""
+        for i, s in enumerate(self._slots):
+            if s.view_id == view_id and s.cloud is old:
+                self._slots[i] = self._slot(view_id, s.sequence, new)
                 return True
         return False
+
+    def _slot(self, view_id: int, sequence: int, cloud: PointCloud | FrameCloud) -> _ViewSlot:
+        """The slot of cloud: filter it to the boundary cube, project it,
+        and keep its winners, in their order in the cloud, with the hit
+        pixels and their keys, the indices renumbered to each winner's
+        rank among the winners. Ranks keep the order of indices, so every
+        tie breaks as before, and the winners project to the same key map.
+        The winners come in order from one mark per point, and the ranks
+        from them: no sort."""
+        cloud = filter_boundary(cloud, self._center)
+        keys = _project_keys(cloud.positions, self._rec, self._size)
+        pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
+        keys = keys[pixels]
+        index = keys.view(np.uint32).reshape(-1, 2)[:, 0]  # the lower halves
+        won = np.zeros(len(cloud), dtype=bool)
+        won[index] = True
+        order = np.flatnonzero(won)
+        rank = np.empty(len(cloud), dtype=np.uint32)
+        rank[order] = np.arange(len(order), dtype=np.uint32)
+        index[...] = rank[index]
+        winners = cloud.select(order)
+        return _ViewSlot(view_id, sequence, PointCloud(winners.positions, winners.colors),
+                         pixels, keys)
 
     def project(self) -> EnvMapLayer:
         """merge_multires(project_multires(self.all_points(), rec_pos,
         levels), levels[0]) for the buffer's rec_pos and levels, bit for
-        bit, projecting only the views whose cloud changed since the last
-        call.
+        bit, from the key maps the slots already hold.
 
         A view's key map holds each winner's index among its view's
         winners; the view's offset among all winners is added at merge
@@ -198,12 +220,10 @@ class DensePointCloudBuffer:
         finest = np.full(w * h, _NO_POINT)
         offset = 0
         for slot in self._slots:
-            if slot.keys is None:
-                self._keep_winners(slot)
             if offset + len(slot.cloud) > _MAX_POINTS:
                 raise PointCapacityError(f"buffered views hold over {_MAX_POINTS} winners")
-            pixels, keys = slot.keys
-            finest[pixels] = np.minimum(finest[pixels], keys + np.uint64(offset))
+            finest[slot.pixels] = np.minimum(finest[slot.pixels],
+                                             slot.keys + np.uint64(offset))
             offset += len(slot.cloud)
         if offset == 0:
             return EnvMapLayer.empty(w, h)
@@ -217,27 +237,6 @@ class DensePointCloudBuffer:
             (finest, merged, step * (blocks * i // parts),
              step * (blocks * (i + 1) // parts)) for i in range(parts)])
         return _layer(merged, w, h, np.concatenate([s.cloud.colors for s in self._slots]))
-
-    def _keep_winners(self, slot: _ViewSlot) -> None:
-        """Project the cloud of slot, and keep in the slot only its
-        winners, in their order in the cloud, with the hit pixels and
-        their keys, the indices renumbered to each winner's rank among the
-        winners. Ranks keep the order of indices, so every tie breaks as
-        before, and the winners project to the same key map. The winners
-        come in order from one mark per point, and the ranks from them: no
-        sort."""
-        keys = _project_keys(slot.cloud.positions, self._rec, self._size)
-        pixels = np.flatnonzero(keys < _NO_POINT).astype(np.uint32)
-        keys = keys[pixels]
-        index = keys.view(np.uint32).reshape(-1, 2)[:, 0]  # the lower halves
-        won = np.zeros(len(slot.cloud), dtype=bool)
-        won[index] = True
-        order = np.flatnonzero(won)
-        rank = np.empty(len(slot.cloud), dtype=np.uint32)
-        rank[order] = np.arange(len(order), dtype=np.uint32)
-        index[...] = rank[index]
-        winners = slot.cloud.select(order)
-        slot.cloud, slot.keys = PointCloud(winners.positions, winners.colors), (pixels, keys)
 
     def _merge_rows(self, finest: np.ndarray, merged: np.ndarray, r0: int, r1: int) -> None:
         """Merge rows r0..r1-1 of every level's key map, taken from the flat
@@ -265,16 +264,13 @@ class DensePointCloudBuffer:
     def view_ids(self) -> list[int]:
         return [s.view_id for s in self._slots]
 
-    def get_view(self, view_id: int) -> PointCloud | FrameCloud | None:
-        """The cloud of view view_id: its winners once projected."""
-        for s in self._slots:
-            if s.view_id == view_id:
-                return s.cloud
-        return None
+    def get_view(self, view_id: int) -> PointCloud | None:
+        """The winners of view view_id."""
+        return next((s.cloud for s in self._slots if s.view_id == view_id), None)
 
-    def clouds(self) -> list[PointCloud | FrameCloud]:
-        """The cloud of every slot, in slot order. A slot's cloud is
-        replaced, never changed in place, so the list stays valid."""
+    def clouds(self) -> list[PointCloud]:
+        """The winners of every slot, in slot order. A slot is replaced,
+        never changed in place, so the list stays valid."""
         return [s.cloud for s in self._slots]
 
     def all_points(self) -> PointCloud:

@@ -48,7 +48,8 @@ MAX_CONNECTIONS = 32
 # that would open one more gets an error reply and opens none. A session
 # stops counting when it is evicted, re-initialized or its connection
 # closes. Without it the two caps above allow 256 sessions; 32 bare HIGH
-# sessions take about 470 MB.
+# sessions take about 470 MB, and a server holding them peaks at about
+# 753 MB (TestServerMemory holds it under 900 MB).
 MAX_LIVE_SESSIONS = 32
 # A connection is closed when no byte arrives for IDLE_TIMEOUT_S between
 # frames, or when a frame is not complete FRAME_TIMEOUT_S after its length
@@ -134,11 +135,11 @@ class ServerConfig:
 class _Handler(socketserver.BaseRequestHandler):
     """One connection: its sessions, least recently used first, and a lock
     serializing socket writes (a registration thread shares the socket
-    with the request loop)."""
+    with the request loop, and checks its session is live under it)."""
 
     def setup(self):
         self.sessions: OrderedDict[int, ReconstructionSession] = OrderedDict()
-        self.send_lock = threading.Lock()
+        self.send_lock = threading.RLock()
         self.icp_threads: list[threading.Thread] = []
         # the registration of the frame being answered, started once its
         # reply is written
@@ -272,8 +273,9 @@ class _Handler(socketserver.BaseRequestHandler):
                   reference: list) -> None:
         """Register the cloud source of view view_id against the
         concatenation of the clouds reference, then apply it and send the
-        updated map, unless the view has received another cloud meanwhile.
-        Runs on a thread of its own."""
+        updated map, unless the view has received another cloud or sess
+        has been re-initialized or evicted meanwhile. Runs on a thread of
+        its own."""
         try:
             result = register_icp(source, PointCloud.concatenate(reference))
         except LitFieldError as e:
@@ -284,7 +286,11 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
             sess.reproject_near()
             reply = _map_response(sess)
-        self._send(reply)
+        # under the lock of the request loop's replies, so no reply of a
+        # new session for this id can come before the check
+        with self.send_lock:
+            if self.sessions.get(sess.session_id) is sess:
+                self._send(reply)
 
 
 def _map_response(sess: ReconstructionSession) -> protocol.EnvMapResponse:

@@ -202,8 +202,10 @@ class ReconstructionSession:
         cloud = nearfield.unproject_frame(
             frame.color, frame.depth, frame.intrinsics, frame.pose)
         self.timings["dense_cloud"] += time.perf_counter() - t0
-        if len(cloud):
+        t0 = time.perf_counter()
+        if len(cloud):  # the insert filters, projects and compacts the view
             self.buffer.insert_view(frame.view_id, cloud)
+        self.timings["multires_projection"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         self._splat_near_sample(frame, cloud.pixels)
         self.timings["sparse_cloud"] += time.perf_counter() - t0
@@ -238,15 +240,14 @@ class ReconstructionSession:
 
     def reproject_near(self) -> EnvMapLayer:
         """Recompute the near map from the current buffer contents (used
-        after asynchronous registration updates the buffered points).
-        Only views whose points changed since the last call are
-        projected again. The reply is rebuilt from the near map's bytes
-        where it is valid and the quantized far map's elsewhere. The
-        select is near & m | far & ~m for a byte mask m, 0xFF on valid
-        pixels: 1.3-1.8 ms over a 1024x512 map, against 4.6-7 ms per
-        half of it for np.where broadcasting an (h, w, 1) mask (2 cores).
-        Split over the pool it is no faster, so it runs on the calling
-        thread."""
+        after asynchronous registration updates the buffered points) by
+        merging the slots' key maps: no view is projected again. The reply
+        is rebuilt from the near map's bytes where it is valid and the
+        quantized far map's elsewhere. The select is near & m | far & ~m
+        for a byte mask m, 0xFF on valid pixels: 1.3-1.8 ms over a
+        1024x512 map, against 4.6-7 ms per half of it for np.where
+        broadcasting an (h, w, 1) mask (2 cores). Split over the pool it
+        is no faster, so it runs on the calling thread."""
         w, h = self.config.envmap_res
         self.near_map = nearfield.resample_nearest(self.buffer.project(), w, h)
         mask = np.repeat(self.near_map.valid.reshape(-1), 3).view(np.uint8)

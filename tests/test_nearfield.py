@@ -181,6 +181,19 @@ def _buffer(num_views, slot_capacity=1 << 16):
     return DensePointCloudBuffer(num_views, np.zeros(3), [(8, 4)], slot_capacity)
 
 
+def _winners(cloud, rec_pos, level):
+    """The points of cloud that hold a pixel of the level, in cloud order,
+    found one point at a time: a pixel goes to its nearest point, and an
+    exact tie to the lower index."""
+    best = {}
+    for i in range(len(cloud)):
+        layer = project_multires(cloud.select([i]), rec_pos, [level])[0]
+        for pixel in zip(*np.nonzero(layer.valid)):
+            if pixel not in best or layer.distance[pixel] < best[pixel][0]:
+                best[pixel] = (layer.distance[pixel], i)
+    return cloud.select(sorted(i for _, i in best.values()))
+
+
 class TestBuffer:
     def _one_point(self, x=0.0):
         return _cloud([[x, 0, 0]])
@@ -195,7 +208,8 @@ class TestBuffer:
         buf = _buffer(3)
         for vid in (1, 2, 1):
             buf.insert_view(vid, self._one_point(vid))
-        assert sorted(buf.view_ids()) == [1, 2]
+        # in its slot's place: slot order breaks exact ties across views
+        assert buf.view_ids() == [1, 2]
         # id 1 is now newest: inserting 3 and 4 must evict 2 first.
         buf.insert_view(3, self._one_point())
         buf.insert_view(4, self._one_point())
@@ -254,7 +268,9 @@ class TestBuffer:
         old = buf.get_view(1)
         new = self._one_point(0.9)
         assert buf.replace_view(1, old, new)
-        assert buf.get_view(1) is new
+        # the one point of new is its only winner, in the slot's place
+        assert np.array_equal(buf.get_view(1).positions, new.positions)
+        assert buf.view_ids() == [1, 2, 3]
         # view 1 is still the oldest, so it goes first
         buf.insert_view(4, self._one_point())
         assert sorted(buf.view_ids()) == [2, 3, 4]
@@ -263,11 +279,55 @@ class TestBuffer:
         buf = _buffer(3)
         buf.insert_view(1, self._one_point(0.25))
         old = buf.get_view(1)
-        newer = self._one_point(0.5)
-        buf.insert_view(1, newer)
+        buf.insert_view(1, self._one_point(0.5))
+        current = buf.get_view(1)
         assert not buf.replace_view(1, old, self._one_point(0.75))
-        assert buf.get_view(1) is newer
+        assert buf.get_view(1) is current
+        assert np.array_equal(current.positions, self._one_point(0.5).positions)
         assert not buf.replace_view(5, old, self._one_point(0.75))
+
+    def test_project_makes_no_key_pass(self, monkeypatch):
+        # Each view is projected once, as it enters its slot; project()
+        # merges the key maps the slots hold.
+        calls = []
+        key_pass = nearfield._project_keys
+
+        def counting(positions, *args):
+            calls.append(len(positions))
+            return key_pass(positions, *args)
+
+        monkeypatch.setattr(nearfield, "_project_keys", counting)
+        views = self._views(3)
+        buf = _buffer(2)
+        for vid, view in enumerate(views[:2]):
+            buf.insert_view(vid, view)
+        assert calls == [100, 100]
+        calls.clear()
+        first = buf.project()
+        assert calls == []
+        assert buf.replace_view(0, buf.get_view(0), views[2])
+        assert calls == [100]
+        calls.clear()
+        second = buf.project()
+        assert calls == []
+        assert not np.array_equal(first.color, second.color)
+
+    def test_get_view_is_the_winners_straight_after_insert(self):
+        # 300 points on an 8x4 map, 10 of them doubled (exact ties), and one
+        # at rec_pos, which wins nothing; get_view before any project().
+        rng = np.random.default_rng(5)
+        positions = rng.uniform(-0.9, 0.9, (300, 3))
+        positions[290:] = positions[:10]
+        positions[7] = 0.0
+        cloud = PointCloud(positions, rng.random((300, 3)))
+        buf = _buffer(1, slot_capacity=300)
+        buf.insert_view(0, cloud)
+        view = buf.get_view(0)
+        want = _winners(cloud, np.zeros(3), (8, 4))
+        assert isinstance(view, PointCloud)
+        assert np.array_equal(view.positions, want.positions)
+        assert np.array_equal(view.colors, want.colors)
+        assert buf.clouds() == [view]
 
     def test_insert_keeps_the_float64_boundary_rule(self):
         # rec_pos x = -1.5 * 2**-24 and the edge point's x = 1 - 2**-24 are

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -705,6 +708,61 @@ class TestServerSessionCap:
                         c.send(_init_packet(session_id=21))
 
 
+def _peak_rss_mb(pid: int) -> float:
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise AssertionError("VmHWM missing from /proc status")
+
+
+class TestServerMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the server's peak RSS from /proc")
+    def test_a_full_server_of_high_sessions_stays_under_900_mb(self):
+        # A `litfield serve` process of its own, so its peak RSS is the
+        # server's alone: four connections open MAX_SESSIONS bare HIGH
+        # sessions each, MAX_LIVE_SESSIONS in all (753 MB on a 2-core
+        # host), and a fifth connection is refused one more.
+        src = os.path.dirname(os.path.dirname(service.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "litfield.cli", "serve", "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("listening on "), line
+            host, _, port = line.split()[-1].rpartition(":")
+            addr = (host, int(port))
+
+            def init(sid):
+                return protocol.SessionInit(sid, REC, 2, (1024, 512), K_NEAR, (64, 48),
+                                            np.array([0.5, 0.5, 0.5]))
+
+            assert service.MAX_SESSIONS * 4 == service.MAX_LIVE_SESSIONS == 32
+            clients = [client_connect(addr, timeout=60.0) for _ in range(5)]
+            try:
+                for c, client in enumerate(clients[:4]):
+                    for i in range(service.MAX_SESSIONS):
+                        env_map = client.send(init(c * service.MAX_SESSIONS + i))
+                        assert (env_map.width, env_map.height) == (1024, 512)
+                with pytest.raises(ProtocolError, match="limit of 32 sessions"):
+                    clients[4].send(init(99))
+                assert _peak_rss_mb(proc.pid) <= 900.0
+            finally:
+                for client in clients:
+                    client.close()
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=20.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+
 class TestMapResponse:
     def test_is_a_snapshot_of_the_kept_reply(self):
         sess = create_session(REC, preset_config(Preset.LOW), (64, 48), np.full(3, 0.5))
@@ -882,6 +940,44 @@ class TestIcpUpdates:
             assert client.poll_update(5.0) is not None
             assert client.poll_update(0.5) is None
         assert sorted(applied) == [False, True]
+
+    @pytest.mark.parametrize("how", ["re-initialized", "evicted"])
+    def test_update_of_a_session_that_has_left_is_dropped(self, how, monkeypatch):
+        # The registration of session 1's view 1 waits until session 1 has
+        # been re-initialized, or evicted by session 2's init. Its update
+        # would carry the old session's map under the id, so none is sent.
+        release, done = threading.Event(), threading.Event()
+        register, run = service.register_icp, service._Handler._register
+        apply = ReconstructionSession.apply_registration
+        applied = []
+
+        def held_register(*args):
+            assert release.wait(10.0)
+            return register(*args)
+
+        def recorded_apply(*args):
+            applied.append(apply(*args))
+            return applied[-1]
+
+        def finished_run(*args):
+            run(*args)
+            done.set()
+
+        monkeypatch.setattr(service, "register_icp", held_register)
+        monkeypatch.setattr(ReconstructionSession, "apply_registration", recorded_apply)
+        monkeypatch.setattr(service._Handler, "_register", finished_run)
+        monkeypatch.setattr(service, "MAX_SESSIONS", 1)
+        scene = _room()
+        with Server(ServerConfig(icp_enabled=True)) as srv, \
+                client_connect(srv.address) as client:
+            client.send(_init_packet())
+            client.send(_near_packet(scene, (0.3, 1.4, 0.3), view_id=0))
+            client.send(_near_packet(scene, (0.0, 1.4, 0.4), view_id=1))
+            client.send(_init_packet(session_id=1 if how == "re-initialized" else 2))
+            release.set()
+            assert done.wait(10.0)
+            assert client.poll_update(1.0) is None
+        assert applied == [True]
 
     def test_finished_registrations_are_dropped(self, monkeypatch):
         # Each registration's update arrives before the next keyframe is

@@ -274,6 +274,21 @@ class TestIngestNear:
         assert len(sess.buffer) == 0
         assert not sess.anchors.observed.any()
 
+    def test_the_insert_is_timed_as_the_projection(self, monkeypatch):
+        # The insert filters, projects and compacts the view, so a slow
+        # insert shows in the projection stage and in no other.
+        insert = nearfield.DensePointCloudBuffer.insert_view
+
+        def slow_insert(buffer, *args):
+            time.sleep(0.25)
+            return insert(buffer, *args)
+
+        monkeypatch.setattr(nearfield.DensePointCloudBuffer, "insert_view", slow_insert)
+        sess = _small_session()
+        sess.ingest_near(_frame(_small_room(), (0.3, 1.4, 0.3), sess.rec_pos))
+        assert sess.timings["multires_projection"] >= 0.25
+        assert sum(sess.timings.values()) - sess.timings["multires_projection"] < 0.25
+
     def test_all_low_confidence_updates_far_only(self):
         scene = _small_room()
         sess = _small_session()
@@ -671,11 +686,19 @@ class TestSlotMemory:
         assert len(sess.buffer) == cfg.num_views
         held = 0
         for slot in sess.buffer._slots:
-            pixels, keys = slot.keys
-            assert len(slot.cloud) == len(pixels)
+            assert len(slot.cloud) == len(slot.pixels) == len(slot.keys)
             held += (slot.cloud.positions.nbytes + slot.cloud.colors.nbytes
-                     + pixels.nbytes + keys.nbytes)
+                     + slot.pixels.nbytes + slot.keys.nbytes)
         assert held <= 20 * 2**20
+
+
+def _winners(cloud, sess):
+    """The points of cloud that hold a pixel of sess's first level, in
+    cloud order, read from the lower halves of one key pass's hits."""
+    keys = nearfield._project_keys(cloud.positions, sess.rec_pos.astype(np.float32),
+                                   sess.config.multires_levels[0])
+    index = keys[keys < nearfield._NO_POINT] & np.uint64(0xFFFFFFFF)
+    return cloud.select(np.unique(index).astype(np.intp))
 
 
 class TestRegistration:
@@ -690,8 +713,12 @@ class TestRegistration:
             sess.ingest_near(_frame(scene, eye, sess.rec_pos, view_id=vid))
         source = sess.buffer.get_view(0)
         assert sess.apply_registration(0, self.MOVE, source)
-        assert np.allclose(sess.buffer.get_view(0).positions,
-                           source.positions + self.MOVE.translation, atol=1e-6)
+        # the slot holds the winners of the moved points in the cube
+        moved = filter_boundary(PointCloud(self.MOVE.transform(source.positions),
+                                           source.colors), sess.rec_pos)
+        want = _winners(moved, sess)
+        assert len(want) > 0
+        assert np.array_equal(sess.buffer.get_view(0).positions, want.positions)
         sess.ingest_near(_frame(scene, eyes[3], sess.rec_pos, view_id=3))
         assert sorted(sess.buffer.view_ids()) == [1, 2, 3]
 
@@ -720,8 +747,9 @@ class TestRegistration:
         inside = np.abs(aligned.positions - sess.rec_pos).max(axis=1) <= BOUNDARY_SIDE / 2
         assert 0 < inside.sum() < len(source)
         view = sess.buffer.get_view(0)
-        assert np.array_equal(view.positions, aligned.positions[inside])
-        assert np.array_equal(view.colors, source.colors[inside])
+        want = _winners(aligned.select(np.flatnonzero(inside)), sess)
+        assert np.array_equal(view.positions, want.positions)
+        assert np.array_equal(view.colors, want.colors)
         got = sess.reproject_near()
         want = _whole_buffer_near_map(sess)
         for attr in ("color", "distance", "valid"):
