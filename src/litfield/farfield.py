@@ -11,12 +11,14 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
+from .errors import ConfigurationError
 from .geometry import ColorImage, Intrinsics, Pose, camera_ray, equirect_pixel_dirs
 from .nearfield import EnvMapLayer, _parts, _run_parts
 
 DEFAULT_ANCHOR_COUNT = 1280
 DEFAULT_EXPONENT = 128
 DEFAULT_TABLE_K = 32
+FAR_CAPTURE_RES = (32, 24)  # width, height of every far-field frame
 TILE = 16  # side of the square pixel tiles of a table's change index
 _KNN_GRID_HEIGHT = 24  # rows of the query cell grid of _knn_by_cosine
 _CHUNK = 16384  # pixels per block of the no-table extrapolation
@@ -70,9 +72,10 @@ class UnitSphereAnchorSet:
 
 def sparse_directions(color_lowres: ColorImage, k: Intrinsics, pose: Pose):
     """Unit world-space viewing directions and colors for every pixel of a
-    low-resolution far-field frame, assuming unit depth."""
-    if color_lowres.width > 64 or color_lowres.height > 48:
-        raise ValueError("far-field frames must be at most 64x48")
+    FAR_CAPTURE_RES far-field frame, assuming unit depth."""
+    size = (color_lowres.width, color_lowres.height)
+    if size != FAR_CAPTURE_RES:
+        raise ConfigurationError(f"far frame size {size} != {FAR_CAPTURE_RES}")
     v, u = np.mgrid[0:color_lowres.height, 0:color_lowres.width]
     rays = camera_ray(u.ravel(), v.ravel(), k)
     world = rays @ pose.rotation.T  # unit-depth points minus camera origin
@@ -83,9 +86,12 @@ def sparse_directions(color_lowres: ColorImage, k: Intrinsics, pose: Pose):
 def splat_to_anchors(anchors: UnitSphereAnchorSet, dirs: np.ndarray,
                      colors: np.ndarray) -> None:
     """Assign each sample to its maximum-cosine anchor and fold it into
-    that anchor's running mean. Mutates the anchor set in place."""
+    that anchor's running mean. Mutates the anchor set in place. A sample
+    whose direction is not finite has no nearest anchor, and is dropped."""
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     colors = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(dirs).all(axis=1)
+    dirs, colors = dirs[finite], colors[finite]
     if len(dirs) == 0:
         return
     idx = np.argmax(dirs @ anchors.directions.T, axis=1)

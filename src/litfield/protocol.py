@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import ProtocolError, TruncatedPacketError, UnknownPacketKindError
+from .farfield import FAR_CAPTURE_RES
 from .geometry import CameraFrame, ColorImage, DepthImage, Intrinsics, Pose
 from .nearfield import quantize
 
@@ -33,7 +34,7 @@ KIND_FAR_KEYFRAME = 0x03
 KIND_ENVMAP_RESPONSE = 0x10
 KIND_ERROR = 0xFF
 
-FAR_KEYFRAME_SIZE = 1 + 4 + 64 + 16 + 4 + (32 * 24 * 3) // 2  # = 1241
+FAR_KEYFRAME_SIZE = 1 + 4 + 64 + 16 + 4 + 3 * FAR_CAPTURE_RES[0] * FAR_CAPTURE_RES[1] // 2
 
 
 def _fields_equal(a, b) -> bool:

@@ -273,24 +273,23 @@ class _Handler(socketserver.BaseRequestHandler):
                   reference: list) -> None:
         """Register the cloud source of view view_id against the
         concatenation of the clouds reference, then apply it and send the
-        updated map, unless the view has received another cloud or sess
-        has been re-initialized or evicted meanwhile. Runs on a thread of
-        its own."""
+        updated map, unless sess has been re-initialized or evicted or the
+        view has received another cloud meanwhile. Runs on a thread of its
+        own."""
         try:
             result = register_icp(source, PointCloud.concatenate(reference))
         except LitFieldError as e:
             log.debug("registration skipped for view %d: %s", view_id, e)
             return
-        with sess.lock:
-            if not sess.apply_registration(view_id, result.pose, source):
+        # Under the reply lock, no reply of a new session for this id comes
+        # between the check and the update; the request loop takes it only
+        # after releasing sess.lock, so this lock order cannot deadlock.
+        with self.send_lock, sess.lock:
+            if (self.sessions.get(sess.session_id) is not sess
+                    or not sess.apply_registration(view_id, result.pose, source)):
                 return
             sess.reproject_near()
-            reply = _map_response(sess)
-        # under the lock of the request loop's replies, so no reply of a
-        # new session for this id can come before the check
-        with self.send_lock:
-            if self.sessions.get(sess.session_id) is sess:
-                self._send(reply)
+            self._send(_map_response(sess))
 
 
 def _map_response(sess: ReconstructionSession) -> protocol.EnvMapResponse:

@@ -7,18 +7,15 @@ import enum
 import itertools
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import farfield, nearfield
 from .errors import ConfigurationError, InvalidDepthError
-from .farfield import UnitSphereAnchorSet
+from .farfield import FAR_CAPTURE_RES, UnitSphereAnchorSet
 from .geometry import CameraFrame, Pose, camera_ray
 from .nearfield import DensePointCloudBuffer, EnvMapLayer, _by_pixel, quantize
-
-FAR_CAPTURE_RES = (32, 24)
 
 _session_ids = itertools.count(1)
 _session_ids_lock = threading.Lock()
@@ -153,8 +150,10 @@ class ReconstructionSession:
                                             table=self._table)
         self._far_bytes = quantize(self.far_map.color)  # the far map, quantized
         self.reply = self._far_bytes.copy()  # no near pixel is valid yet
-        # cumulative per-stage wall time in seconds, for the CLI timing table
-        self.timings: dict[str, float] = defaultdict(float)
+        # cumulative wall time in seconds of each stage of ingest_near and
+        # ingest_far, in pipeline order
+        self.timings = dict.fromkeys(("unproject", "insert", "near_splat", "far_splat",
+                                      "far_update", "reproject"), 0.0)
 
     def _update_far_map(self) -> None:
         """Bring the far map up to date with the anchors, computing again
@@ -194,48 +193,55 @@ class ReconstructionSession:
         """Run the full near-field pipeline for one RGB-D frame and return
         the updated near map. Also feeds a sparse sample of the frame into
         the far-field anchors. A frame with no kept pixel inserts no view,
-        so the near map stays as it was."""
+        so the near map stays as it was.
+
+        A frame whose points could overflow float32 is refused before any
+        work, with InvalidDepthError. Its reach, the largest translation
+        component plus the largest depth times the longest ray (a corner
+        pixel's), bounds every coordinate and must lie below float32's
+        largest value."""
         if frame.depth is None:
             raise InvalidDepthError("near-field ingestion requires depth")
+        w, h = frame.depth.width, frame.depth.height
+        corners = camera_ray([0, w - 1, 0, w - 1], [0, 0, h - 1, h - 1], frame.intrinsics)
+        reach = (np.abs(frame.pose.translation).max() + float(frame.depth.depth.max())
+                 * np.linalg.norm(corners, axis=1).max())
+        if not reach < np.finfo(np.float32).max:
+            raise InvalidDepthError(f"the frame's points reach {reach:.3g} m, past float32")
         t0 = time.perf_counter()
         # the view's colors are read from the frame for its winners alone
         cloud = nearfield.unproject_frame(
             frame.color, frame.depth, frame.intrinsics, frame.pose)
-        self.timings["dense_cloud"] += time.perf_counter() - t0
+        self.timings["unproject"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         if len(cloud):  # the insert filters, projects and compacts the view
             self.buffer.insert_view(frame.view_id, cloud)
-        self.timings["multires_projection"] += time.perf_counter() - t0
+        self.timings["insert"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         self._splat_near_sample(frame, cloud.pixels)
-        self.timings["sparse_cloud"] += time.perf_counter() - t0
+        self.timings["near_splat"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         self._update_far_map()
-        self.timings["anchor_extrapolation"] += time.perf_counter() - t0
+        self.timings["far_update"] += time.perf_counter() - t0
         # The near map depends only on the buffer, and the far update has
         # already written every reply pixel the near map leaves free.
         if len(cloud):
             t0 = time.perf_counter()
             self.reproject_near()
-            self.timings["multires_projection"] += time.perf_counter() - t0
+            self.timings["reproject"] += time.perf_counter() - t0
         return self.near_map
 
     def ingest_far(self, frame: CameraFrame) -> EnvMapLayer:
-        """Splat one low-resolution color-only frame into the anchors and
+        """Splat one FAR_CAPTURE_RES color-only frame into the anchors and
         re-extrapolate the far map."""
-        fw, fh = FAR_CAPTURE_RES
-        if (frame.color.width, frame.color.height) != (fw, fh):
-            raise ConfigurationError(
-                f"far-field frames must be {fw}x{fh}, "
-                f"got {frame.color.width}x{frame.color.height}")
         t0 = time.perf_counter()
         dirs, colors = farfield.sparse_directions(frame.color, frame.intrinsics,
                                                   frame.pose)
         farfield.splat_to_anchors(self.anchors, dirs, colors)
-        self.timings["sparse_cloud"] += time.perf_counter() - t0
+        self.timings["far_splat"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         self._update_far_map()
-        self.timings["anchor_extrapolation"] += time.perf_counter() - t0
+        self.timings["far_update"] += time.perf_counter() - t0
         return self.far_map
 
     def reproject_near(self) -> EnvMapLayer:

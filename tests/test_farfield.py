@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litfield import farfield, nearfield
+from litfield.errors import ConfigurationError
 from litfield.farfield import (
     ExtrapolationMode,
     ExtrapolationTable,
@@ -100,10 +101,12 @@ class TestSparseDirections:
         assert np.allclose(rotated, base @ pose.rotation.T, atol=1e-12)
 
     def test_rejects_high_resolution(self):
-        big = ColorImage(80, 60, np.zeros((60, 80, 3)))
-        with pytest.raises(ValueError):
-            sparse_directions(big, Intrinsics(65.0, 65.0, 40.0, 30.0, 80, 60),
-                              Pose.identity())
+        # every far frame is FAR_CAPTURE_RES; any other size is refused
+        for w, h in [(80, 60), (64, 48), (16, 12), (32, 23)]:
+            frame = ColorImage(w, h, np.zeros((h, w, 3)))
+            with pytest.raises(ConfigurationError):
+                sparse_directions(frame, Intrinsics(w, w, w / 2, h / 2, w, h),
+                                  Pose.identity())
 
 
 # ── splat_to_anchors ─────────────────────────────────────────────────────
@@ -125,6 +128,16 @@ class TestSplatToAnchors:
         splat_to_anchors(a, d, np.array([[0.0, 0.0, 0.0]]))
         assert np.allclose(a.colors[3], 0.5)
         assert a.weights[3] == 2.0
+
+    def test_non_finite_direction_is_dropped(self):
+        # argmax over a NaN row's cosines would pick anchor 0, the zenith
+        a = UnitSphereAnchorSet.create()
+        splat_to_anchors(a, np.array([[np.nan, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+                         np.array([[0.9, 0.1, 0.1], [0.2, 0.3, 0.4]]))
+        assert not a.observed[0] and a.weights[0] == 0.0
+        (nadir,) = np.flatnonzero(a.observed)
+        assert nadir == a.count - 1 and a.weights.sum() == 1.0
+        assert np.array_equal(a.colors[nadir], (0.2, 0.3, 0.4))
 
     def test_empty_sample_list_noop(self):
         a = _gray_anchors()

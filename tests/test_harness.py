@@ -284,7 +284,8 @@ class TestCli:
         r = runner.invoke(cli_main, ["reconstruct", "--data", data_dir,
                                      "--out", out_dir])
         assert r.exit_code == 0, r.output
-        assert "multi-resolution projection" in r.output
+        # the timing table: a header, then a row per stage, then one line
+        stages = [line.split()[0] for line in r.output.splitlines()[1:-1]]
         assert os.path.exists(os.path.join(out_dir, "composed.ppm"))
         # the maps are those of an in-process run of the same dataset
         data = ds.load_dataset(data_dir)
@@ -297,6 +298,7 @@ class TestCli:
                 sess.ingest_near(frame)
             else:
                 sess.ingest_far(frame)
+        assert stages == ["decode", *sess.timings]
         near = ds.read_ppm(os.path.join(out_dir, "near.ppm"))
         assert np.array_equal(near, sess.near_map.color)
         assert ((near > 0) & (near < 255)).any()  # bytes, not clipped floats

@@ -407,6 +407,23 @@ class TestErrors:
         assert decoded == [(32, 24)]
         assert not np.allclose(env.pixels, 0.5, atol=1.1 / 255.0)
 
+    def test_near_frame_whose_points_overflow_float32_is_refused(self, server):
+        # fx = fy = 1e-45 (a float32 subnormal) is a positive focal length,
+        # but it sends every ray off the principal point past float32. The
+        # frame gets an error reply and leaves the session as it was.
+        near = _near_packet(_room(), (0.3, 1.4, 0.3))
+        hostile = dataclasses.replace(
+            near, intrinsics=dataclasses.replace(K_NEAR, fx=1e-45, fy=1e-45))
+        with client_connect(server.address) as client, \
+                client_connect(server.address) as fresh:
+            client.send(_init_packet())
+            with pytest.raises(ProtocolError, match="float32"):
+                client.send(hostile)
+            after = client.send(near)
+            fresh.send(_init_packet())
+            expected = fresh.send(near)
+        assert np.array_equal(after.to_uint8(), expected.to_uint8())
+
     def test_read_frame_fills_one_buffer_of_the_declared_length(self):
         payload = bytes(range(256)) * 1000  # over several recv calls
 
@@ -945,11 +962,13 @@ class TestIcpUpdates:
     def test_update_of_a_session_that_has_left_is_dropped(self, how, monkeypatch):
         # The registration of session 1's view 1 waits until session 1 has
         # been re-initialized, or evicted by session 2's init. Its update
-        # would carry the old session's map under the id, so none is sent.
+        # would carry the old session's map under the id, so it does no
+        # work: it neither applies its correction nor re-projects.
         release, done = threading.Event(), threading.Event()
         register, run = service.register_icp, service._Handler._register
         apply = ReconstructionSession.apply_registration
-        applied = []
+        reproject = ReconstructionSession.reproject_near
+        applied, reprojected = [], []
 
         def held_register(*args):
             assert release.wait(10.0)
@@ -959,12 +978,18 @@ class TestIcpUpdates:
             applied.append(apply(*args))
             return applied[-1]
 
+        def recorded_reproject(sess):
+            if release.is_set():  # every keyframe has been answered
+                reprojected.append(sess.session_id)
+            return reproject(sess)
+
         def finished_run(*args):
             run(*args)
             done.set()
 
         monkeypatch.setattr(service, "register_icp", held_register)
         monkeypatch.setattr(ReconstructionSession, "apply_registration", recorded_apply)
+        monkeypatch.setattr(ReconstructionSession, "reproject_near", recorded_reproject)
         monkeypatch.setattr(service._Handler, "_register", finished_run)
         monkeypatch.setattr(service, "MAX_SESSIONS", 1)
         scene = _room()
@@ -977,7 +1002,8 @@ class TestIcpUpdates:
             release.set()
             assert done.wait(10.0)
             assert client.poll_update(1.0) is None
-        assert applied == [True]
+        assert applied == []
+        assert reprojected == []
 
     def test_finished_registrations_are_dropped(self, monkeypatch):
         # Each registration's update arrives before the next keyframe is

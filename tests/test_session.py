@@ -274,9 +274,9 @@ class TestIngestNear:
         assert len(sess.buffer) == 0
         assert not sess.anchors.observed.any()
 
-    def test_the_insert_is_timed_as_the_projection(self, monkeypatch):
-        # The insert filters, projects and compacts the view, so a slow
-        # insert shows in the projection stage and in no other.
+    def test_the_insert_is_timed_in_the_insert_stage(self, monkeypatch):
+        # The insert filters, projects and compacts the view; a slow insert
+        # shows in the insert stage and in no other.
         insert = nearfield.DensePointCloudBuffer.insert_view
 
         def slow_insert(buffer, *args):
@@ -286,8 +286,8 @@ class TestIngestNear:
         monkeypatch.setattr(nearfield.DensePointCloudBuffer, "insert_view", slow_insert)
         sess = _small_session()
         sess.ingest_near(_frame(_small_room(), (0.3, 1.4, 0.3), sess.rec_pos))
-        assert sess.timings["multires_projection"] >= 0.25
-        assert sum(sess.timings.values()) - sess.timings["multires_projection"] < 0.25
+        assert sess.timings["insert"] >= 0.25
+        assert sum(sess.timings.values()) - sess.timings["insert"] < 0.25
 
     def test_all_low_confidence_updates_far_only(self):
         scene = _small_room()
