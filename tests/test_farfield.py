@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litfield import farfield, nearfield
+from litfield import session as session_mod
 from litfield.errors import ConfigurationError
 from litfield.farfield import (
     ExtrapolationMode,
@@ -433,6 +434,30 @@ class TestChunkedRows:
         farfield._apply(table.operator, colors, out, rows)
         assert np.array_equal(out[rows], full[rows])
         assert np.isnan(np.delete(out, rows, axis=0)).all()
+
+
+class TestServedSizes:
+    # The presets' map sizes, through the tables sessions use, so the process
+    # builds each size once. At these sizes each part of rows spans more than
+    # one _ROW_CHUNK chunk.
+    @pytest.mark.parametrize("size", [(512, 256), (1024, 512)])
+    def test_products_are_bit_equal_to_the_operator(self, size):
+        table = session_mod._extrapolation_table(size)
+        rng = np.random.default_rng(size[0])
+        a = _gray_anchors(table.anchor_count)
+        a.colors[:] = rng.uniform(0, 1, a.colors.shape)
+        expected = _full_product(a, table).reshape(-1, 3)
+        colors = a.colors.astype(np.float32)
+        full = np.empty_like(expected)
+        farfield._apply(table.operator, colors, full)
+        assert np.array_equal(full, expected)
+        rows = rng.choice(len(expected), len(expected) // 7, replace=False)  # in no order
+        out = np.full_like(expected, np.nan)
+        farfield._apply(table.operator, colors, out, rows)
+        assert np.array_equal(out[rows], expected[rows])
+        assert np.isnan(np.delete(out, rows, axis=0)).all()
+        layer = extrapolate(a, size, table=table)
+        assert np.array_equal(layer.color.reshape(-1, 3), expected)
 
 
 class TestIncrementalExtrapolate:

@@ -54,6 +54,13 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             Intrinsics(50.0, -1.0, 32.0, 24.0, 64, 48)
 
+    @pytest.mark.parametrize("fx, fy", [(math.inf, 50.0), (50.0, math.inf),
+                                        (math.inf, math.inf), (math.nan, 50.0),
+                                        (50.0, -math.inf)])
+    def test_rejects_non_finite_focal(self, fx, fy):
+        with pytest.raises(ValueError, match="finite"):
+            Intrinsics(fx, fy, 32.0, 24.0, 64, 48)
+
     def test_rejects_principal_point_outside(self):
         with pytest.raises(ValueError):
             Intrinsics(50.0, 50.0, 64.0, 24.0, 64, 48)

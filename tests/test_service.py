@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 import signal
 import socket
@@ -423,6 +424,31 @@ class TestErrors:
             fresh.send(_init_packet())
             expected = fresh.send(near)
         assert np.array_equal(after.to_uint8(), expected.to_uint8())
+
+    def test_far_frame_with_infinite_focal_length_is_refused(self, server):
+        # fx = inf would splat every sample onto one anchor. A FarKeyframe
+        # cannot hold it, since its Intrinsics refuse it, so the fx field of
+        # a valid packet's bytes is overwritten: after the kind, the session
+        # id and the 64-byte pose.
+        far = protocol.encode_packet(_far_packet(_room(), REC, (0.0, 1.4, -3.0)))
+        hostile = bytearray(far)
+        struct.pack_into("<f", hostile, 5 + 64, math.inf)
+        replies = []
+        with socket.create_connection(server.address, timeout=10.0) as raw, \
+                socket.create_connection(server.address, timeout=10.0) as fresh:
+            for sock, payloads in ((raw, (hostile, far)), (fresh, (far,))):
+                write_frame(sock, protocol.encode_packet(_init_packet()))
+                assert isinstance(protocol.decode_packet(read_frame(sock)),
+                                  protocol.EnvMapResponse)
+                for payload in payloads:
+                    write_frame(sock, payload)
+                    replies.append(protocol.decode_packet(read_frame(sock)))
+        refused, after, expected = replies
+        assert isinstance(refused, protocol.ErrorPacket)
+        assert "focal lengths must be positive and finite" in refused.message
+        # the connection keeps serving, and the session is as it was
+        assert isinstance(after, protocol.EnvMapResponse)
+        assert np.array_equal(after.rgb, expected.rgb)
 
     def test_read_frame_fills_one_buffer_of_the_declared_length(self):
         payload = bytes(range(256)) * 1000  # over several recv calls
